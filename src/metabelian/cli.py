@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every subcommand takes --n for the rank and --json for machine output; exit
-codes are 0 on success, 1 on parse errors (with position information), and 2
+codes are 0 on success, 1 on parse errors (with position information), 2
 on domain errors such as non-invariant input or elements outside the
-embedded image.
+embedded image, and 3 on internal errors (an identity the theory guarantees
+failed, which indicates a bug).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations
 from .errors import (
     DimensionError,
     DomainError,
+    InternalConsistencyError,
     InvarianceError,
     KernelError,
     MembershipError,
@@ -363,6 +365,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -1,42 +1,58 @@
 """Dense exact linear algebra over the rationals.
 
-Small systems only: the solvers run classical Gauss-Jordan elimination on
-Fraction entries with a fixed pivot order, so results are deterministic.
+Small systems only.  The solvers clear each row's denominators and run
+fraction-free Gauss-Jordan elimination on integers (after Bareiss): only
+reading the result off divides, by the pivot.  The reduced row echelon form
+is unique, so results do not depend on the row scaling.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _rref(rows, ncols):
-    """Reduce ``rows`` in place to reduced row echelon form on the first
-    ``ncols`` columns; returns the list of pivot columns."""
+def _integer_rows(rows):
+    """Each row of ints or Fractions scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
+
+
+def _reduce(rows, ncols):
+    """Reduce integer ``rows`` in place on the first ``ncols`` columns and
+    return the pivot columns; row r over its pivot is row r of the reduced
+    row echelon form.  Each update is row_k <- (p/g) row_k - (f/g) row_r
+    with g = gcd(p, f), then division by the gcd of the new row."""
     pivots = []
     r = 0
+    nrows = len(rows)
     for col in range(ncols):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][col] != 0:
-                pivot_row = k
-                break
+        if r == nrows:
+            break
+        pivot_row = next((k for k in range(r, nrows) if rows[k][col]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][col]
-        if inv != 1:
-            rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                factor = rows[k][col]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+        prow = rows[r]
+        p = prow[col]
+        for k in range(nrows):
+            f = rows[k][col]
+            if k != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[k], prow)]
+                h = gcd(*new)
+                if h > 1:
+                    new = [x // h for x in new]
+                rows[k] = new
         pivots.append(col)
         r += 1
-        if r == len(rows):
-            break
     return pivots
 
 
@@ -49,18 +65,16 @@ def solve_exact(columns, rhs):
     """
     keys = sorted(set(rhs).union(*columns) if columns else set(rhs))
     ncols = len(columns)
-    rows = [
+    rows = _integer_rows(
         [col.get(key, _ZERO) for col in columns] + [rhs.get(key, _ZERO)]
         for key in keys
-    ]
-    pivots = _rref(rows, ncols)
-    rank = len(pivots)
-    for row in rows[rank:]:
-        if row[ncols] != 0:
-            return None
+    )
+    pivots = _reduce(rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     solution = [_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][ncols]
+    for row, col in zip(rows, pivots):
+        solution[col] = Fraction(row[ncols], row[col])
     return solution
 
 
@@ -70,15 +84,15 @@ def nullspace(rows, ncols):
     Each basis vector sets one free column to 1 and the other free columns
     to 0; vectors are returned in increasing free-column order.
     """
-    work = [list(row) for row in rows]
-    pivots = _rref(work, ncols)
+    work = _integer_rows(rows)
+    pivots = _reduce(work, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for free in free_cols:
         vec = [_ZERO] * ncols
         vec[free] = _ONE
-        for r, col in enumerate(pivots):
-            vec[col] = -work[r][free]
+        for row, col in zip(work, pivots):
+            vec[col] = Fraction(-row[free], row[col])
         basis.append(vec)
     return basis

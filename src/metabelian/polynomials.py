@@ -328,10 +328,13 @@ def reynolds_poly(p: Polynomial) -> Polynomial:
     return total * Fraction(1, factorial(n))
 
 
-@lru_cache(maxsize=None)
 def expand_e_monomial(n: int, exponents) -> Polynomial:
     """Expand e_1^{a_1} * ... * e_n^{a_n} into the plain polynomial ring."""
-    exponents = tuple(exponents)
+    return _expand_e_monomial(n, tuple(exponents))
+
+
+@lru_cache(maxsize=None)
+def _expand_e_monomial(n: int, exponents: tuple) -> Polynomial:
     if len(exponents) != n:
         raise DimensionError(f"exponent vector {exponents} has wrong length for rank {n}")
     result = Polynomial.one(n)
@@ -339,6 +342,9 @@ def expand_e_monomial(n: int, exponents) -> Polynomial:
         if mult:
             result = result * elementary_symmetric(n, k) ** mult
     return result
+
+
+expand_e_monomial.cache_info = _expand_e_monomial.cache_info
 
 
 class EDecomposition:

@@ -8,24 +8,20 @@ polynomial u-coefficients and scalar v-coefficients.  The bracket is
 and the embedding sends x_i to u_i + v_i.  A commutator [x_i, x_j] (i > j)
 lands on u_i x_j - u_j x_i, and acting by a polynomial multiplies the
 u-coefficients, so the embedded image of the commutator ideal is exactly the
-kernel of (p_1, ..., p_n) -> sum_i x_i p_i with zero v-part.  The preimage
-map inverts the embedding constructively by clearing one leading monomial
-class at a time.
+kernel of (p_1, ..., p_n) -> sum_i x_i p_i with zero v-part.  Both the
+membership residual and the preimage group the u-coordinates (i, m) by their
+content x_i * m: a commutator only moves coefficient between coordinates of
+one content class, so the preimage clears every class independently in a
+single pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    InternalConsistencyError,
-    MembershipError,
-    RankError,
-)
+from .errors import DimensionError, DomainError, MembershipError, RankError
 from .lie import BasisCommutator, LieElement, _ad_monomial
-from .polynomials import Polynomial, as_fraction, grlex_key
+from .polynomials import Polynomial, as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -205,12 +201,30 @@ def embed(f: LieElement) -> WreathElement:
     )
 
 
+def _content_classes(polys):
+    """Group the u-coordinates (i, m) by their content x_i * m.
+
+    ``polys`` holds one term dict per u-index; each class lists its
+    (i, coefficient) pairs in increasing i.
+    """
+    classes = {}
+    for i, terms in enumerate(polys):
+        for mono, coeff in terms.items():
+            content = list(mono)
+            content[i] += 1
+            classes.setdefault(tuple(content), []).append((i, coeff))
+    return classes
+
+
+def _class_sums(n: int, classes) -> Polynomial:
+    """sum_i x_i p_i read off the content classes."""
+    return Polynomial(n, {content: sum(c for _, c in members)
+                          for content, members in classes.items()})
+
+
 def membership_residual(w: WreathElement) -> Polynomial:
     """sum_i x_i p_i(x); zero exactly on the embedded commutator ideal."""
-    total = Polynomial.zero(w.n)
-    for i, p in enumerate(w.upart):
-        total = total + p * Polynomial.variable(w.n, i + 1)
-    return total
+    return _class_sums(w.n, _content_classes(p.terms for p in w.upart))
 
 
 def in_commutator_image(w: WreathElement) -> bool:
@@ -233,78 +247,31 @@ def preimage(w: WreathElement) -> LieElement:
     """Invert the embedding; raises MembershipError off the image.
 
     The v-part dictates the linear part.  The remaining u-part must satisfy
-    sum_i x_i p_i = 0; while it is nonzero, the graded-lex largest product
-    monomial M = x_i * m is selected, the indices contributing to M have
-    coefficients summing to zero, and subtracting multiples of
-    embed([x_a, x_b] * M/(x_a x_b)) for the smallest contributing index b
-    clears the whole class.  M strictly decreases, so this terminates; the
-    recorded commutator terms assemble the canonical preimage.
+    sum_i x_i p_i = 0, that is, the coefficients of every content class
+    M = x_i * m sum to zero.  Within a class with smallest contributing index
+    b, each other contributor a is cleared by coeff * embed([x_a, x_b] *
+    M/(x_a x_b)), which moves its coefficient onto b and nowhere else, so the
+    classes are independent and one pass assembles the canonical preimage.
     """
     n = w.n
     linear = w.vpart
-    zero_mono = (0,) * n
-    work = []
-    for i, p in enumerate(w.upart):
-        d = dict(p.terms)
-        if linear[i] != 0:
-            val = d.get(zero_mono, _ZERO) - linear[i]
-            if val == 0:
-                d.pop(zero_mono, None)
-            else:
-                d[zero_mono] = val
-        work.append(d)
-    residual = Polynomial.zero(n)
-    for i, d in enumerate(work):
-        residual = residual + Polynomial(n, d) * Polynomial.variable(n, i + 1)
+    classes = _content_classes(
+        (p - Polynomial.constant(n, v)).terms for p, v in zip(w.upart, linear)
+    )
+    residual = _class_sums(n, classes)
     if not residual.is_zero():
         raise MembershipError(
             f"element is not in the embedded image; residual sum x_i*p_i = {residual}",
             residual,
         )
     acc = {}
-    while True:
-        best = None
-        for i, d in enumerate(work):
-            for mono in d:
-                content = list(mono)
-                content[i] += 1
-                content = tuple(content)
-                if best is None or grlex_key(content) > grlex_key(best):
-                    best = content
-        if best is None:
-            break
-        contributors = []
-        for i in range(n):
-            if best[i] >= 1:
-                sub = list(best)
-                sub[i] -= 1
-                coeff = work[i].get(tuple(sub), _ZERO)
-                if coeff != 0:
-                    contributors.append((i, coeff))
-        if len(contributors) < 2 or sum(c for _, c in contributors) != 0:
-            raise InternalConsistencyError(
-                f"monomial class {best} cannot be cleared despite zero residual"
-            )
-        b = contributors[0][0]
-        mono_b = list(best)
-        mono_b[b] -= 1
-        mono_b = tuple(mono_b)
-        for a, coeff in contributors[1:]:
-            mono_a = list(best)
-            mono_a[a] -= 1
-            mono_a = tuple(mono_a)
-            m_ab = list(best)
+    for content, members in classes.items():
+        b = members[0][0]
+        for a, coeff in members[1:]:
+            m_ab = list(content)
             m_ab[a] -= 1
             m_ab[b] -= 1
-            # remove coeff * embed([x_{a+1}, x_{b+1}] * m_ab)
-            work[a].pop(mono_a)
-            val = work[b].get(mono_b, _ZERO) + coeff
-            if val == 0:
-                work[b].pop(mono_b, None)
-            else:
-                work[b][mono_b] = val
-            base = BasisCommutator(a + 1, b + 1)
-            for c2, value in _ad_monomial(base, m_ab).items():
+            for c2, value in _ad_monomial(BasisCommutator(a + 1, b + 1), m_ab).items():
                 cur = acc.get(c2, _ZERO) + coeff * value
                 if cur == 0:
                     acc.pop(c2, None)

@@ -1,5 +1,6 @@
 import json
 
+from metabelian import InternalConsistencyError, cli
 from metabelian.cli import main
 
 
@@ -112,6 +113,17 @@ def test_parse_error_exits_1(capsys):
     code, _, err = run(capsys, "normal-form", "--n", "2", "[x2,x1")
     assert code == 1
     assert "position" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise InternalConsistencyError("reassembled decomposition does not match")
+
+    monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
+    code, out, err = run(capsys, "decompose", "--n", "2", "[x2,x1,x2] - [x2,x1,x1]")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: reassembled decomposition does not match\n"
 
 
 def test_verify_relations(capsys):

@@ -276,6 +276,30 @@ def test_invariant_basis_small_cases():
     assert len(deg4) == 1
 
 
+def partitions_bounded(n, m):
+    """p_n(m): the number of partitions of m into parts of size at most n."""
+    counts = [1] + [0] * m
+    for part in range(1, n + 1):
+        for total in range(part, m + 1):
+            counts[total] += counts[total - part]
+    return counts[m]
+
+
+def hilbert_function(n, d):
+    """dim of the degree-d invariants: sum_{j<=min(n,d)} p_n(d-j) - p_n(d), 1 at d = 1."""
+    if d == 1:
+        return 1
+    return sum(
+        partitions_bounded(n, d - j) for j in range(1, min(n, d) + 1)
+    ) - partitions_bounded(n, d)
+
+
+@pytest.mark.parametrize("n, dmax", [(2, 7), (3, 6), (4, 5)])
+def test_invariant_basis_dimension_matches_closed_form(n, dmax):
+    for d in range(1, dmax + 1):
+        assert len(invariant_space_basis(n, d)) == hilbert_function(n, d)
+
+
 def test_invariant_basis_elements_decompose():
     for n, dmax in ((2, 6), (3, 5)):
         for d in range(1, dmax + 1):

@@ -177,6 +177,13 @@ def test_expand_e_monomial_matches_products():
     assert expand_e_monomial(3, (1, 1, 0)) == elementary_symmetric(3, 1) * elementary_symmetric(3, 2)
 
 
+def test_expand_e_monomial_accepts_lists():
+    assert expand_e_monomial(3, [1, 0, 0]) == elementary_symmetric(3, 1)
+    assert expand_e_monomial(3, [0, 2, 0]) == expand_e_monomial(3, (0, 2, 0))
+    with pytest.raises(DimensionError):
+        expand_e_monomial(3, [1, 0])
+
+
 small_polys = st.builds(
     lambda nvars, entries: Polynomial(
         nvars,
