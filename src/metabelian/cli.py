@@ -50,6 +50,13 @@ def _emit_json(payload):
     print(json.dumps(payload, indent=2))
 
 
+def _emit_result(args, text):
+    if args.json:
+        _emit_json({"result": text})
+    else:
+        print(text)
+
+
 def _wreath_json(w):
     return {"u": [p.to_text() for p in w.upart], "v": [str(v) for v in w.vpart]}
 
@@ -78,10 +85,7 @@ def _cmd_normal_form(args):
     if args.apply_perm:
         sigma = parse_cycles(args.apply_perm, args.n)
         element = lie.apply_perm_lie(sigma, element)
-    if args.json:
-        _emit_json({"result": element.to_text()})
-    else:
-        print(element.to_text())
+    _emit_result(args, element.to_text())
     return 0
 
 
@@ -95,23 +99,40 @@ def _cmd_embed(args):
     return 0
 
 
+def _json_rational(value):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f'"v" entries must be rational strings or integers, got {value!r}', 0)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f'"v" entry {value!r} is not a rational', 0) from None
+
+
 def _parse_wreath_input(text, n):
+    """A wreath element in text form, or as JSON {"u": [...], "v": [...]}.
+
+    "u" lists polynomial strings; "v", if present, lists rational strings or
+    integers.  Floats are rejected to keep arithmetic exact.
+    """
     text = text.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-        upart = [parse_polynomial(p, n) for p in data["u"]]
-        vpart = [Fraction(v) for v in data.get("v", ["0"] * n)]
-        return WreathElement(n, tuple(upart), tuple(vpart))
-    return parse_wreath(text, n)
+    if not text.startswith("{"):
+        return parse_wreath(text, n)
+    data = json.loads(text)
+    upart = data.get("u")
+    if not isinstance(upart, list) or not all(isinstance(p, str) for p in upart):
+        raise ParseError('"u" must be a list of polynomial strings', 0)
+    vpart = data.get("v", ["0"] * n)
+    if not isinstance(vpart, list):
+        raise ParseError('"v" must be a list of rational strings or integers', 0)
+    return WreathElement(
+        n,
+        tuple(parse_polynomial(p, n) for p in upart),
+        tuple(_json_rational(v) for v in vpart),
+    )
 
 
 def _cmd_preimage(args):
-    w = _parse_wreath_input(args.expr, args.n)
-    element = preimage(w)
-    if args.json:
-        _emit_json({"result": element.to_text()})
-    else:
-        print(element.to_text())
+    _emit_result(args, preimage(_parse_wreath_input(args.expr, args.n)).to_text())
     return 0
 
 
@@ -130,21 +151,12 @@ def _cmd_is_invariant(args):
 
 def _cmd_reynolds(args):
     element = normal_form(parse_lie_expr(args.expr, args.n), args.n)
-    averaged = reynolds_lie(element)
-    if args.json:
-        _emit_json({"result": averaged.to_text()})
-    else:
-        print(averaged.to_text())
+    _emit_result(args, reynolds_lie(element).to_text())
     return 0
 
 
 def _cmd_symmetrize_poly(args):
-    poly = parse_polynomial(args.expr, args.n)
-    averaged = reynolds_poly(poly)
-    if args.json:
-        _emit_json({"result": averaged.to_text()})
-    else:
-        print(averaged.to_text())
+    _emit_result(args, reynolds_poly(parse_polynomial(args.expr, args.n)).to_text())
     return 0
 
 

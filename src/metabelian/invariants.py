@@ -34,6 +34,7 @@ from .permutations import enumerate_sn, sn_generators
 from .polynomials import (
     EDecomposition,
     Polynomial,
+    add_terms,
     as_fraction,
     elementary_symmetric,
     expand_e_monomial,
@@ -295,13 +296,7 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
                     raise InternalConsistencyError(
                         f"negative e-exponent while splitting block {a}"
                     )
-                bucket = parts_acc.setdefault((j1, jk), {})
-                key = tuple(newexp)
-                val = bucket.get(key, _ZERO) + beta
-                if val == 0:
-                    bucket.pop(key, None)
-                else:
-                    bucket[key] = val
+                add_terms(parts_acc.setdefault((j1, jk), {}), ((tuple(newexp), beta),))
     result = InvariantDecomposition(
         n, f1_coeff, {pair: EDecomposition(n, terms) for pair, terms in parts_acc.items()}
     )

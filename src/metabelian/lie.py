@@ -12,10 +12,12 @@ basis commutators to rational coefficients, so equality is literal.
 
 Rewriting into the basis uses four rules: bilinearity, antisymmetry, the
 vanishing of brackets between two commutators, and the length-3 Jacobi
-rearrangement [a, b, c] = [a, c, b] - [b, c, a], applied when a new ad-factor
-is smaller than the second entry.  Each application strictly lowers the
-number of order violations, so evaluating an expression tree bottom-up
-terminates in the canonical form.
+rearrangement [a, b, c] = [a, c, b] - [b, c, a], applied when an ad-factor is
+smaller than the second entry.  Acting by a monomial needs at most one such
+split: only its smallest factor can fall below the second entry, and after the
+split that factor is the new minimum, so every other factor joins the sorted
+tail.  Evaluating an expression tree bottom-up therefore ends in the canonical
+form.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, RankError
-from .polynomials import Polynomial, as_fraction
+from .polynomials import Polynomial, add_terms, as_fraction, signed_text, unit_vector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class BasisCommutator:
@@ -73,42 +74,28 @@ class BasisCommutator:
         return "[" + ",".join(f"x{i}" for i in self.indices()) + "]"
 
 
-def _ad_one(c: BasisCommutator, j: int):
-    """Append one ad-factor x_j to a basis commutator.
+def _factors(exponents):
+    """The sorted variable indices of a monomial, with multiplicity."""
+    return tuple(j for j, e in enumerate(exponents, 1) for _ in range(e))
 
-    When j >= i2 the factor slots into the tail.  Otherwise the Jacobi
-    rearrangement [i1, i2, j] = [i1, j, i2] - [i2, j, i1] applies; both
-    results are already in basis order because j is the new minimum.
+
+def _ad(c: BasisCommutator, factors):
+    """Act on a basis commutator by the monomial with sorted ``factors``.
+
+    Returns (commutator, +-1) pairs.  When the smallest factor j is at least
+    i2 every factor slots into the tail.  Otherwise the Jacobi rearrangement
+    [i1, i2, j] = [i1, j, i2] - [i2, j, i1] applies once; j is then the second
+    entry and the minimum, so the remaining factors join the tail.  The two
+    results are distinct and never cancel.
     """
-    if j >= c.i2:
-        return ((BasisCommutator(c.i1, c.i2, c.tail + (j,)), 1),)
+    if not factors or factors[0] >= c.i2:
+        return ((BasisCommutator(c.i1, c.i2, c.tail + factors), 1),)
+    j = factors[0]
+    rest = c.tail + factors[1:]
     return (
-        (BasisCommutator(c.i1, j, c.tail + (c.i2,)), 1),
-        (BasisCommutator(c.i2, j, c.tail + (c.i1,)), -1),
+        (BasisCommutator(c.i1, j, rest + (c.i2,)), 1),
+        (BasisCommutator(c.i2, j, rest + (c.i1,)), -1),
     )
-
-
-def _ad_monomial(c: BasisCommutator, exponents):
-    """Act on a basis commutator by a monomial; returns dict commutator -> coeff.
-
-    Variables are applied in increasing index order: after the first Jacobi
-    split the second entry is minimal, so later factors never split again and
-    the result has at most two terms.
-    """
-    current = {c: _ONE}
-    for idx, e in enumerate(exponents):
-        j = idx + 1
-        for _ in range(e):
-            nxt = {}
-            for cc, coeff in current.items():
-                for c2, sign in _ad_one(cc, j):
-                    val = nxt.get(c2, _ZERO) + coeff * sign
-                    if val == 0:
-                        nxt.pop(c2, None)
-                    else:
-                        nxt[c2] = val
-            current = nxt
-    return current
 
 
 class LieElement:
@@ -138,6 +125,15 @@ class LieElement:
         self.comm = clean
 
     @classmethod
+    def _wrap(cls, n: int, linear, comm) -> "LieElement":
+        """Build from an already clean linear tuple and term dict, skipping validation."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.linear = linear
+        out.comm = comm
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "LieElement":
         return cls(n)
 
@@ -145,7 +141,7 @@ class LieElement:
     def variable(cls, n: int, k: int) -> "LieElement":
         if not 1 <= k <= n:
             raise RankError(f"variable index {k} outside 1..{n}")
-        return cls(n, tuple(_ONE if i == k - 1 else _ZERO for i in range(n)))
+        return cls(n, unit_vector(n, k - 1))
 
     @classmethod
     def from_commutator(cls, n: int, c: BasisCommutator, coeff=1) -> "LieElement":
@@ -171,26 +167,18 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         if self.n != other.n:
             raise DimensionError(f"ranks {self.n} and {other.n} differ")
-        linear = tuple(a + b for a, b in zip(self.linear, other.linear))
-        comm = dict(self.comm)
-        for c, coeff in other.comm.items():
-            val = comm.get(c, _ZERO) + coeff
-            if val == 0:
-                comm.pop(c, None)
-            else:
-                comm[c] = val
-        out = LieElement.__new__(LieElement)
-        out.n = self.n
-        out.linear = linear
-        out.comm = comm
-        return out
+        return LieElement._wrap(
+            self.n,
+            tuple(a + b for a, b in zip(self.linear, other.linear)),
+            add_terms(dict(self.comm), other.comm.items()),
+        )
 
     def __neg__(self) -> "LieElement":
-        out = LieElement.__new__(LieElement)
-        out.n = self.n
-        out.linear = tuple(-v for v in self.linear)
-        out.comm = {c: -v for c, v in self.comm.items()}
-        return out
+        return LieElement._wrap(
+            self.n,
+            tuple(-v for v in self.linear),
+            {c: -v for c, v in self.comm.items()},
+        )
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + (-other)
@@ -199,11 +187,11 @@ class LieElement:
         scalar = as_fraction(scalar)
         if scalar == 0:
             return LieElement.zero(self.n)
-        out = LieElement.__new__(LieElement)
-        out.n = self.n
-        out.linear = tuple(v * scalar for v in self.linear)
-        out.comm = {c: v * scalar for c, v in self.comm.items()}
-        return out
+        return LieElement._wrap(
+            self.n,
+            tuple(v * scalar for v in self.linear),
+            {c: v * scalar for c, v in self.comm.items()},
+        )
 
     def __rmul__(self, scalar):
         return self * scalar
@@ -219,24 +207,10 @@ class LieElement:
     __hash__ = None
 
     def to_text(self) -> str:
-        pieces = []
-        for idx, coeff in enumerate(self.linear):
-            if coeff != 0:
-                pieces.append((coeff, f"x{idx + 1}"))
+        pieces = [(coeff, f"x{k}") for k, coeff in enumerate(self.linear, 1) if coeff != 0]
         for c in sorted(self.comm, key=BasisCommutator.sort_key):
             pieces.append((self.comm[c], repr(c)))
-        if not pieces:
-            return "0"
-        chunks = []
-        for coeff, body in pieces:
-            mag = -coeff if coeff < 0 else coeff
-            text = body if mag == 1 else f"{mag}*{body}"
-            chunks.append(("-" if coeff < 0 else "+", text))
-        sign, body = chunks[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_text(pieces)
 
     def __repr__(self):
         return self.to_text()
@@ -251,43 +225,30 @@ def bracket(f: LieElement, g: LieElement) -> LieElement:
     """
     if f.n != g.n:
         raise DimensionError(f"ranks {f.n} and {g.n} differ")
-    n = f.n
-    acc = {}
 
-    def add(c, value):
-        val = acc.get(c, _ZERO) + value
-        if val == 0:
-            acc.pop(c, None)
-        else:
-            acc[c] = val
-
-    for i in range(1, n + 1):
-        a = f.linear[i - 1]
-        if a == 0:
-            continue
-        for j in range(1, n + 1):
-            b = g.linear[j - 1]
-            if b == 0 or i == j:
-                continue
-            if i > j:
-                add(BasisCommutator(i, j), a * b)
-            else:
-                add(BasisCommutator(j, i), -a * b)
-    for c, coeff in f.comm.items():
-        for j in range(1, n + 1):
-            b = g.linear[j - 1]
-            if b == 0:
-                continue
-            for c2, sign in _ad_one(c, j):
-                add(c2, coeff * b * sign)
-    for c, coeff in g.comm.items():
-        for j in range(1, n + 1):
-            a = f.linear[j - 1]
+    def terms():
+        for i, a in enumerate(f.linear, 1):
             if a == 0:
                 continue
-            for c2, sign in _ad_one(c, j):
-                add(c2, -coeff * a * sign)
-    return LieElement(n, None, acc)
+            for j, b in enumerate(g.linear, 1):
+                if b == 0 or i == j:
+                    continue
+                if i > j:
+                    yield BasisCommutator(i, j), a * b
+                else:
+                    yield BasisCommutator(j, i), -a * b
+        for c, coeff in f.comm.items():
+            for j, b in enumerate(g.linear, 1):
+                if b != 0:
+                    for c2, sign in _ad(c, (j,)):
+                        yield c2, coeff * b * sign
+        for c, coeff in g.comm.items():
+            for j, a in enumerate(f.linear, 1):
+                if a != 0:
+                    for c2, sign in _ad(c, (j,)):
+                        yield c2, -coeff * a * sign
+
+    return LieElement(f.n, None, add_terms({}, terms()))
 
 
 def ad_action(f: LieElement, p: Polynomial) -> LieElement:
@@ -300,16 +261,12 @@ def ad_action(f: LieElement, p: Polynomial) -> LieElement:
         raise DomainError("the polynomial action is defined on the commutator ideal only")
     if p.nvars != f.n:
         raise DimensionError(f"polynomial over {p.nvars} variables, rank is {f.n}")
+    monomials = [(_factors(mono), beta) for mono, beta in p.terms.items()]
     acc = {}
     for c, gamma in f.comm.items():
-        for mono, beta in p.terms.items():
+        for factors, beta in monomials:
             scale = gamma * beta
-            for c2, value in _ad_monomial(c, mono).items():
-                val = acc.get(c2, _ZERO) + scale * value
-                if val == 0:
-                    acc.pop(c2, None)
-                else:
-                    acc[c2] = val
+            add_terms(acc, ((c2, scale * sign) for c2, sign in _ad(c, factors)))
     return LieElement(f.n, None, acc)
 
 
@@ -324,19 +281,10 @@ def apply_perm_lie(sigma, f: LieElement) -> LieElement:
     acc = {}
     for c, gamma in f.comm.items():
         a, b = sigma(c.i1), sigma(c.i2)
-        sign = 1
         if a < b:
-            a, b = b, a
-            sign = -1
-        exponents = [0] * n
-        for t in c.tail:
-            exponents[sigma(t) - 1] += 1
-        for c2, value in _ad_monomial(BasisCommutator(a, b), exponents).items():
-            val = acc.get(c2, _ZERO) + gamma * sign * value
-            if val == 0:
-                acc.pop(c2, None)
-            else:
-                acc[c2] = val
+            a, b, gamma = b, a, -gamma
+        factors = tuple(sorted(sigma(t) for t in c.tail))
+        add_terms(acc, ((c2, gamma * sign) for c2, sign in _ad(BasisCommutator(a, b), factors)))
     return LieElement(n, linear, acc)
 
 

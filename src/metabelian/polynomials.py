@@ -42,6 +42,43 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def unit_vector(length: int, index: int):
+    """The exponent vector with a single 1 at the 0-based ``index``."""
+    return tuple(1 if k == index else 0 for k in range(length))
+
+
+def add_terms(acc, pairs):
+    """Add (key, coefficient) pairs into ``acc`` in place and return it.
+
+    A key whose coefficients sum to zero is dropped, so ``acc`` stays a
+    sparse map with nonzero values only.
+    """
+    for key, coeff in pairs:
+        val = acc.get(key, _ZERO) + coeff
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def signed_text(pieces):
+    """Render (coefficient, body) pairs as a signed sum such as ``x1 - 1/2*x2``.
+
+    A unit coefficient is left implicit, an empty body prints the bare
+    coefficient, and no pieces print ``"0"``.
+    """
+    out = []
+    for coeff, body in pieces:
+        mag = -coeff if coeff < 0 else coeff
+        if out:
+            out.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            out.append("-")
+        out.append(str(mag) if not body else body if mag == 1 else f"{mag}*{body}")
+    return "".join(out) or "0"
+
+
 def grlex_key(exponents):
     """Sort key realizing graded lex order with x1 > x2 > ... > xn."""
     return (sum(exponents), exponents)
@@ -75,6 +112,14 @@ class Polynomial:
                     clean[mono] = coeff
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, nvars: int, terms) -> "Polynomial":
+        """Build from an already clean term dict, skipping validation."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     # constructors
 
     @classmethod
@@ -94,8 +139,7 @@ class Polynomial:
         """The variable x_k (1-based)."""
         if not 1 <= k <= nvars:
             raise RankError(f"variable index {k} outside 1..{nvars}")
-        mono = tuple(1 if i == k - 1 else 0 for i in range(nvars))
-        return cls(nvars, {mono: _ONE})
+        return cls(nvars, {unit_vector(nvars, k - 1): _ONE})
 
     @classmethod
     def monomial(cls, nvars: int, exponents, coeff=1) -> "Polynomial":
@@ -134,23 +178,10 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            val = out.get(mono, _ZERO) + coeff
-            if val == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = val
-        result = Polynomial.__new__(Polynomial)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return Polynomial._wrap(self.nvars, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Polynomial":
-        result = Polynomial.__new__(Polynomial)
-        result.nvars = self.nvars
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return Polynomial._wrap(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -158,26 +189,16 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    val = out.get(mono, _ZERO) + c1 * c2
-                    if val == 0:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = val
-            result = Polynomial.__new__(Polynomial)
-            result.nvars = self.nvars
-            result.terms = out
-            return result
+            products = (
+                (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            )
+            return Polynomial._wrap(self.nvars, add_terms({}, products))
         coeff = as_fraction(other)
         if coeff == 0:
             return Polynomial.zero(self.nvars)
-        result = Polynomial.__new__(Polynomial)
-        result.nvars = self.nvars
-        result.terms = {m: c * coeff for m, c in self.terms.items()}
-        return result
+        return Polynomial._wrap(self.nvars, {m: c * coeff for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -239,40 +260,18 @@ class Polynomial:
             for idx, e in enumerate(mono):
                 new[img[idx] - 1] = e
             out[tuple(new)] = coeff
-        result = Polynomial.__new__(Polynomial)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return Polynomial._wrap(self.nvars, out)
 
     # printing
 
     def to_text(self, names=None) -> str:
-        if not self.terms:
-            return "0"
         if names is None:
             names = default_names(self.nvars)
         pieces = []
         for mono in sorted(self.terms, key=grlex_key, reverse=True):
-            coeff = self.terms[mono]
-            factors = []
-            for idx, e in enumerate(mono):
-                if e == 1:
-                    factors.append(names[idx])
-                elif e > 1:
-                    factors.append(f"{names[idx]}^{e}")
-            mag = -coeff if coeff < 0 else coeff
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            factors = [f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(mono) if e]
+            pieces.append((self.terms[mono], "*".join(factors)))
+        return signed_text(pieces)
 
     def __repr__(self):
         return self.to_text()
@@ -384,14 +383,7 @@ class EDecomposition:
     def __add__(self, other: "EDecomposition") -> "EDecomposition":
         if self.n != other.n:
             raise DimensionError("e-decompositions of different ranks")
-        out = dict(self.terms)
-        for vec, coeff in other.terms.items():
-            val = out.get(vec, _ZERO) + coeff
-            if val == 0:
-                out.pop(vec, None)
-            else:
-                out[vec] = val
-        return EDecomposition(self.n, out)
+        return EDecomposition(self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __eq__(self, other):
         return (

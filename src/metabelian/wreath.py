@@ -20,11 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, MembershipError, RankError
-from .lie import BasisCommutator, LieElement, _ad_monomial
-from .polynomials import Polynomial, as_fraction
+from .lie import BasisCommutator, LieElement, _ad, _factors
+from .polynomials import Polynomial, add_terms, as_fraction, signed_text, unit_vector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class WreathElement:
@@ -127,31 +126,18 @@ class WreathElement:
         terms = {}
         for i, p in enumerate(self.upart):
             for mono, coeff in p.terms.items():
-                umono = tuple(1 if k == i else 0 for k in range(n))
-                terms[umono + mono] = coeff
+                terms[unit_vector(n, i) + mono] = coeff
         for i, coeff in enumerate(self.vpart):
             if coeff != 0:
-                xmono = tuple(1 if k == n + i else 0 for k in range(2 * n))
-                terms[xmono] = terms.get(xmono, _ZERO) + coeff
+                terms[unit_vector(2 * n, n + i)] = coeff
         return Polynomial(2 * n, terms)
 
     def to_text(self) -> str:
-        chunks = []
-        for i, p in enumerate(self.upart):
-            if not p.is_zero():
-                chunks.append(("+", f"u{i + 1}*( {p.to_text()} )"))
-        for i, coeff in enumerate(self.vpart):
-            if coeff != 0:
-                mag = -coeff if coeff < 0 else coeff
-                body = f"v{i + 1}" if mag == 1 else f"{mag}*v{i + 1}"
-                chunks.append(("-" if coeff < 0 else "+", body))
-        if not chunks:
-            return "0"
-        sign, body = chunks[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        pieces = [
+            (1, f"u{i}*( {p.to_text()} )") for i, p in enumerate(self.upart, 1) if not p.is_zero()
+        ]
+        pieces += [(coeff, f"v{i}") for i, coeff in enumerate(self.vpart, 1) if coeff != 0]
+        return signed_text(pieces)
 
     def __repr__(self):
         return self.to_text()
@@ -161,10 +147,8 @@ def bracket_wreath(w1: WreathElement, w2: WreathElement) -> WreathElement:
     """Bracket in the wreath product; the result always has zero v-part."""
     w1._require_same(w2)
     n = w1.n
-    lin1 = Polynomial(n, {tuple(1 if k == i else 0 for k in range(n)): c
-                          for i, c in enumerate(w1.vpart) if c != 0})
-    lin2 = Polynomial(n, {tuple(1 if k == i else 0 for k in range(n)): c
-                          for i, c in enumerate(w2.vpart) if c != 0})
+    lin1 = Polynomial(n, {unit_vector(n, i): c for i, c in enumerate(w1.vpart) if c != 0})
+    lin2 = Polynomial(n, {unit_vector(n, i): c for i, c in enumerate(w2.vpart) if c != 0})
     upart = tuple(
         w1.upart[i] * lin2 - w2.upart[i] * lin1 for i in range(n)
     )
@@ -187,13 +171,8 @@ def embed(f: LieElement) -> WreathElement:
         m1[c.i2 - 1] += 1
         m2 = list(mono)
         m2[c.i1 - 1] += 1
-        for target, m, sign in ((c.i1 - 1, tuple(m1), 1), (c.i2 - 1, tuple(m2), -1)):
-            d = udicts[target]
-            val = d.get(m, _ZERO) + gamma * sign
-            if val == 0:
-                d.pop(m, None)
-            else:
-                d[m] = val
+        add_terms(udicts[c.i1 - 1], ((tuple(m1), gamma),))
+        add_terms(udicts[c.i2 - 1], ((tuple(m2), -gamma),))
     return WreathElement(
         n,
         tuple(Polynomial(n, d) for d in udicts),
@@ -235,11 +214,7 @@ def in_commutator_image(w: WreathElement) -> bool:
 def substitute_u_equals_x(w: WreathElement) -> Polynomial:
     """Evaluate u_i -> x_i (and v_i -> x_i): sum x_i p_i + sum a_i x_i."""
     total = membership_residual(w)
-    extra = {}
-    for i, coeff in enumerate(w.vpart):
-        if coeff != 0:
-            mono = tuple(1 if k == i else 0 for k in range(w.n))
-            extra[mono] = coeff
+    extra = {unit_vector(w.n, i): coeff for i, coeff in enumerate(w.vpart) if coeff != 0}
     return total + Polynomial(w.n, extra)
 
 
@@ -271,12 +246,8 @@ def preimage(w: WreathElement) -> LieElement:
             m_ab = list(content)
             m_ab[a] -= 1
             m_ab[b] -= 1
-            for c2, value in _ad_monomial(BasisCommutator(a + 1, b + 1), m_ab).items():
-                cur = acc.get(c2, _ZERO) + coeff * value
-                if cur == 0:
-                    acc.pop(c2, None)
-                else:
-                    acc[c2] = cur
+            commutator = BasisCommutator(a + 1, b + 1)
+            add_terms(acc, ((c2, coeff * sign) for c2, sign in _ad(commutator, _factors(m_ab))))
     return LieElement(n, linear, acc)
 
 

@@ -1,9 +1,11 @@
 """The original slow paths, kept verbatim as references for the fast ones.
 
-``preimage`` clears the graded-lex largest content class one at a time with
-a full rescan per class, and ``solve_exact`` / ``nullspace`` run classical
-Gauss-Jordan elimination on Fraction entries.  ``tests/test_fast_paths.py``
-requires the library's single-pass preimage and fraction-free integer
+``_ad_monomial`` acts by a monomial one ad-factor at a time through
+``_ad_one``, rebuilding a dict per factor; ``preimage`` clears the graded-lex
+largest content class one at a time with a full rescan per class; and
+``solve_exact`` / ``nullspace`` run classical Gauss-Jordan elimination on
+Fraction entries.  ``tests/test_fast_paths.py`` requires the library's
+closed-form ad-action, single-pass preimage and fraction-free integer
 elimination to return exactly what these return.
 """
 
@@ -12,11 +14,49 @@ from __future__ import annotations
 from fractions import Fraction
 
 from metabelian.errors import InternalConsistencyError, MembershipError
-from metabelian.lie import BasisCommutator, LieElement, _ad_monomial
+from metabelian.lie import BasisCommutator, LieElement
 from metabelian.polynomials import Polynomial, grlex_key
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _ad_one(c: BasisCommutator, j: int):
+    """Append one ad-factor x_j to a basis commutator.
+
+    When j >= i2 the factor slots into the tail.  Otherwise the Jacobi
+    rearrangement [i1, i2, j] = [i1, j, i2] - [i2, j, i1] applies; both
+    results are already in basis order because j is the new minimum.
+    """
+    if j >= c.i2:
+        return ((BasisCommutator(c.i1, c.i2, c.tail + (j,)), 1),)
+    return (
+        (BasisCommutator(c.i1, j, c.tail + (c.i2,)), 1),
+        (BasisCommutator(c.i2, j, c.tail + (c.i1,)), -1),
+    )
+
+
+def _ad_monomial(c: BasisCommutator, exponents):
+    """Act on a basis commutator by a monomial; returns dict commutator -> coeff.
+
+    Variables are applied in increasing index order: after the first Jacobi
+    split the second entry is minimal, so later factors never split again and
+    the result has at most two terms.
+    """
+    current = {c: _ONE}
+    for idx, e in enumerate(exponents):
+        j = idx + 1
+        for _ in range(e):
+            nxt = {}
+            for cc, coeff in current.items():
+                for c2, sign in _ad_one(cc, j):
+                    val = nxt.get(c2, _ZERO) + coeff * sign
+                    if val == 0:
+                        nxt.pop(c2, None)
+                    else:
+                        nxt[c2] = val
+            current = nxt
+    return current
 
 
 def _rref(rows, ncols):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from metabelian import InternalConsistencyError, cli
 from metabelian.cli import main
 
@@ -50,6 +52,30 @@ def test_preimage_accepts_json(capsys):
     code, out, _ = run(capsys, "preimage", "--n", "2", payload)
     assert code == 0
     assert out.strip() == "-[x2,x1]"
+    payload = json.dumps({"u": ["x2 + 1", "-x1"], "v": [1, "0"]})
+    code, out, _ = run(capsys, "preimage", "--n", "2", payload)
+    assert code == 0
+    assert out.strip() == "x1 - [x2,x1]"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"x": []}',
+        '{"u": 5}',
+        '{"u": [5, "0"]}',
+        '{"u": ["x1", "0"], "v": ["abc", "0"]}',
+        '{"u": ["x1", "0"], "v": ["1/0", "0"]}',
+        '{"u": ["x1", "0"], "v": [0.1, 0.1]}',
+        '{"u": ["x1", "0"], "v": [true, 0]}',
+        '{"u": ["x1", "0"], "v": 3}',
+    ],
+)
+def test_preimage_rejects_malformed_json_as_parse_error(capsys, payload):
+    code, out, err = run(capsys, "preimage", "--n", "2", payload)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error:")
 
 
 def test_preimage_outside_image_is_domain_error(capsys):

@@ -1,5 +1,6 @@
-"""The single-pass preimage and the fraction-free elimination must return
-exactly what the original slow paths in reference_impl.py return."""
+"""The closed-form ad-action, the single-pass preimage and the fraction-free
+elimination must return exactly what the original slow paths in
+reference_impl.py return."""
 
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from helpers import random_fraction, random_lie_element, random_polynomial
 from metabelian import (
+    BasisCommutator,
     MembershipError,
     Polynomial,
     WreathElement,
@@ -25,9 +27,28 @@ from metabelian import (
     reynolds_lie,
 )
 from metabelian import invariants
+from metabelian.lie import _ad, _factors
 from metabelian.linalg import nullspace, solve_exact
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def commutators_and_monomials(draw):
+    """A basis commutator and an exponent vector (entries <= 3) at rank n <= 8."""
+    n = draw(st.integers(2, 8))
+    i2 = draw(st.integers(1, n - 1))
+    i1 = draw(st.integers(i2 + 1, n))
+    tail = draw(st.lists(st.integers(i2, n), max_size=3))
+    exponents = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return BasisCommutator(i1, i2, tail), exponents
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutators_and_monomials())
+def test_closed_form_ad_matches_the_unit_by_unit_reference(case):
+    c, exponents = case
+    assert dict(_ad(c, _factors(exponents))) == ref._ad_monomial(c, exponents)
 
 
 @settings(max_examples=80, deadline=None)

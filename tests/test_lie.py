@@ -222,3 +222,8 @@ def test_to_text_round_trip():
     text = f.to_text()
     assert text == "2*x1 - [x2,x1] + 1/2*[x3,x1,x2,x2]"
     assert normal_form(parse_lie_expr(text, 3), 3) == f
+    assert (-xvar(2, 1)).to_text() == "-x1"
+    assert LieElement.zero(3).to_text() == "0"
+    g = Fraction(-1, 2) * comm(3, 2, 1) + comm(3, 3, 1)
+    assert g.to_text() == "-1/2*[x2,x1] + [x3,x1]"
+    assert normal_form(parse_lie_expr(g.to_text(), 3), 3) == g

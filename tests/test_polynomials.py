@@ -220,3 +220,7 @@ def test_text_rendering():
     assert p.to_text() == "3/2*x1^2*x2 - x3"
     assert Polynomial.zero(2).to_text() == "0"
     assert Polynomial.constant(2, Fraction(-1, 2)).to_text() == "-1/2"
+    assert (Polynomial.one(2) - x(2, 1)).to_text() == "-x1 + 1"
+    assert (x(2, 1) - Polynomial.one(2)).to_text() == "x1 - 1"
+    assert Polynomial.constant(2, -1).to_text() == "-1"
+    assert EDecomposition(2, {(2, 0): 1, (0, 1): -2}).to_text() == "e1^2 - 2*e2"

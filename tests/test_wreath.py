@@ -175,3 +175,8 @@ def test_wreath_text_round_trip():
     text = w.to_text()
     assert parse_wreath(text, 2) == w
     assert parse_wreath("0", 2).is_zero()
+    w = u_times(2, 2, xp(2, 1)) - 2 * v_only(2, 1)
+    assert w.to_text() == "u2*( x1 ) - 2*v1"
+    assert (-v_only(2, 2)).to_text() == "-v2"
+    assert WreathElement.zero(2).to_text() == "0"
+    assert parse_wreath(w.to_text(), 2) == w
