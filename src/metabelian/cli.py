@@ -4,7 +4,9 @@ Every subcommand takes --n for the rank and --json for machine output; exit
 codes are 0 on success, 1 on parse errors (with position information), 2
 on domain errors such as non-invariant input or elements outside the
 embedded image, and 3 on internal errors (an identity the theory guarantees
-failed, which indicates a bug).
+failed, which indicates a bug).  An error prints one line on stderr and,
+under --json, also the object {"schema": 1, "error": {"type", "message"}}
+on stdout.
 """
 
 from __future__ import annotations
@@ -15,17 +17,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    InternalConsistencyError,
-    InvarianceError,
-    KernelError,
-    MembershipError,
-    ParseError,
-    RankError,
-    ResourceGuardError,
-)
+from .errors import AlgebraError, DomainError, InternalConsistencyError, ParseError
 from .invariants import (
     decompose_invariant,
     generator_h,
@@ -43,6 +35,15 @@ from .wreath import WreathElement, embed, preimage, substitute_u_equals_x
 from . import lie, invariants
 
 SCHEMA = 1
+
+# (exit code, stderr prefix) per error class; an error takes the entry of the
+# first class in its method resolution order that has one.
+_ERROR_EXITS = {
+    ParseError: (1, "parse error"),
+    json.JSONDecodeError: (1, "parse error"),
+    InternalConsistencyError: (3, "internal error"),
+    AlgebraError: (2, "error"),
+}
 
 
 def _emit_json(payload):
@@ -79,9 +80,29 @@ def _decomposition_json(dec, verified):
     }
 
 
+def _lie_input(args):
+    return normal_form(parse_lie_expr(args.expr, args.n), args.n)
+
+
+def _emit_pairs(args, prefix, generator, json_fields, pairs):
+    """One ``<prefix>_ij = ...`` line per generator, or a JSON list of them."""
+    if args.json:
+        _emit_json(
+            {
+                "generators": [
+                    {"i": i, "j": j, **json_fields(generator(args.n, i, j))}
+                    for i, j in pairs
+                ]
+            }
+        )
+    else:
+        for i, j in pairs:
+            print(f"{prefix}_{i}{j} = {generator(args.n, i, j).to_text()}")
+    return 0
+
+
 def _cmd_normal_form(args):
-    expr = parse_lie_expr(args.expr, args.n)
-    element = normal_form(expr, args.n)
+    element = _lie_input(args)
     if args.apply_perm:
         sigma = parse_cycles(args.apply_perm, args.n)
         element = lie.apply_perm_lie(sigma, element)
@@ -90,8 +111,7 @@ def _cmd_normal_form(args):
 
 
 def _cmd_embed(args):
-    element = normal_form(parse_lie_expr(args.expr, args.n), args.n)
-    image = embed(element)
+    image = embed(_lie_input(args))
     if args.json:
         _emit_json(_wreath_json(image))
     else:
@@ -137,8 +157,7 @@ def _cmd_preimage(args):
 
 
 def _cmd_is_invariant(args):
-    element = normal_form(parse_lie_expr(args.expr, args.n), args.n)
-    violation = invariance_violation(element)
+    violation = invariance_violation(_lie_input(args))
     if args.json:
         payload = {"invariant": violation is None}
         if violation is not None:
@@ -150,8 +169,7 @@ def _cmd_is_invariant(args):
 
 
 def _cmd_reynolds(args):
-    element = normal_form(parse_lie_expr(args.expr, args.n), args.n)
-    _emit_result(args, reynolds_lie(element).to_text())
+    _emit_result(args, reynolds_lie(_lie_input(args)).to_text())
     return 0
 
 
@@ -161,20 +179,8 @@ def _cmd_symmetrize_poly(args):
 
 
 def _cmd_generators(args):
-    pairs = list(combinations(range(1, args.n + 1), 2))
-    if args.json:
-        _emit_json(
-            {
-                "generators": [
-                    {"i": i, "j": j, **_wreath_json(generator_h(args.n, i, j))}
-                    for i, j in pairs
-                ]
-            }
-        )
-    else:
-        for i, j in pairs:
-            print(f"h_{i}{j} = {generator_h(args.n, i, j).to_text()}")
-    return 0
+    pairs = combinations(range(1, args.n + 1), 2)
+    return _emit_pairs(args, "h", generator_h, _wreath_json, pairs)
 
 
 def _cmd_generator_lie(args):
@@ -183,24 +189,14 @@ def _cmd_generator_lie(args):
     if args.i is not None:
         pairs = [(args.i, args.j)]
     else:
-        pairs = list(combinations(range(1, args.n + 1), 2))
-    if args.json:
-        _emit_json(
-            {
-                "generators": [
-                    {"i": i, "j": j, "result": generator_h_lie(args.n, i, j).to_text()}
-                    for i, j in pairs
-                ]
-            }
-        )
-    else:
-        for i, j in pairs:
-            print(f"f_{i}{j} = {generator_h_lie(args.n, i, j).to_text()}")
-    return 0
+        pairs = combinations(range(1, args.n + 1), 2)
+    return _emit_pairs(
+        args, "f", generator_h_lie, lambda element: {"result": element.to_text()}, pairs
+    )
 
 
 def _cmd_decompose(args):
-    element = normal_form(parse_lie_expr(args.expr, args.n), args.n)
+    element = _lie_input(args)
     dec = decompose_invariant(element)
     verified = dec.verify(element)
     if args.json:
@@ -363,26 +359,12 @@ def main(argv=None) -> int:
         parser.error(f"--n must be at least 2, got {args.n}")
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        InvarianceError,
-        MembershipError,
-        DomainError,
-        RankError,
-        DimensionError,
-        KernelError,
-        ResourceGuardError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    except (AlgebraError, json.JSONDecodeError) as exc:
+        code, prefix = next(_ERROR_EXITS[c] for c in type(exc).__mro__ if c in _ERROR_EXITS)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if args.json:
+            _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        return code
 
 
 if __name__ == "__main__":

@@ -18,10 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import factorial
 
 from .errors import (
-    DimensionError,
     DomainError,
     InternalConsistencyError,
     InvarianceError,
@@ -30,7 +28,7 @@ from .errors import (
 )
 from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, grade
 from .linalg import nullspace, solve_exact
-from .permutations import enumerate_sn, sn_generators
+from .permutations import group_average, moving_generator, sn_generators
 from .polynomials import (
     EDecomposition,
     Polynomial,
@@ -39,7 +37,7 @@ from .polynomials import (
     elementary_symmetric,
     expand_e_monomial,
     grlex_key,
-    symmetry_violation,
+    read_only,
 )
 from .wreath import WreathElement, embed, preimage
 
@@ -67,7 +65,7 @@ def epsilon(n: int, j: int) -> WreathElement:
                 mono[k] = 1
             terms[tuple(mono)] = _ONE
         upart.append(Polynomial(n, terms))
-    return WreathElement(n, tuple(upart))
+    return read_only(WreathElement(n, tuple(upart)))
 
 
 def polarized_elementary(n: int, p: int, q: int) -> Polynomial:
@@ -97,7 +95,7 @@ def generator_h(n: int, i: int, j: int) -> WreathElement:
     """The invariant module generator j*eps_i*e_j - i*eps_j*e_i."""
     if not 1 <= i < j <= n:
         raise RankError(f"need 1 <= i < j <= n, got ({i}, {j}) with n = {n}")
-    return (
+    return read_only(
         epsilon(n, i).module_mul(elementary_symmetric(n, j)) * j
         - epsilon(n, j).module_mul(elementary_symmetric(n, i)) * i
     )
@@ -106,17 +104,12 @@ def generator_h(n: int, i: int, j: int) -> WreathElement:
 @lru_cache(maxsize=None)
 def generator_h_lie(n: int, i: int, j: int) -> LieElement:
     """generator_h pulled back to canonical Lie basis form."""
-    return preimage(generator_h(n, i, j))
+    return read_only(preimage(generator_h(n, i, j)))
 
 
 def invariance_violation(f: LieElement):
     """A generator of S_n that moves f, or None if f is invariant."""
-    if f.n == 1:
-        return None
-    for sigma in sn_generators(f.n):
-        if apply_perm_lie(sigma, f) != f:
-            return sigma
-    return None
+    return moving_generator(f, apply_perm_lie, f.n)
 
 
 def is_invariant_lie(f: LieElement) -> bool:
@@ -125,13 +118,7 @@ def is_invariant_lie(f: LieElement) -> bool:
 
 def reynolds_lie(f: LieElement) -> LieElement:
     """Average over the full symmetric group; projects onto the invariants."""
-    n = f.n
-    if n == 1:
-        return f
-    total = LieElement.zero(n)
-    for sigma in enumerate_sn(n):
-        total = total + apply_perm_lie(sigma, f)
-    return total * Fraction(1, factorial(n))
+    return group_average(f, apply_perm_lie, f.n, LieElement.zero(f.n))
 
 
 def solve_weighted_kernel(c):
@@ -248,7 +235,7 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     violation = invariance_violation(f)
     if violation is not None:
         raise InvarianceError(f"element is not invariant: moved by {violation}", violation)
-    f1_coeff = f.linear[0] if n >= 1 else _ZERO
+    f1_coeff = f.linear[0]
     if any(v != f1_coeff for v in f.linear):
         raise InternalConsistencyError("invariant element with non-uniform linear part")
     fc = f.commutator_part()

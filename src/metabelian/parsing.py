@@ -84,6 +84,20 @@ class _TokenStream:
         raise ParseError(message, self.pos())
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _signed_terms(ts: _TokenStream, parse_term):
+    """Parse ``[+|-] term ((+|-) term)*`` into a list of (sign, term) pairs."""
+    sign = _SIGNS[ts.advance()[0]] if ts.peek() in _SIGNS else 1
+    terms = []
+    while True:
+        terms.append((sign, parse_term(ts)))
+        if ts.peek() not in _SIGNS:
+            return terms
+        sign = _SIGNS[ts.advance()[0]]
+
+
 def _parse_rational(ts: _TokenStream) -> Fraction:
     num = ts.expect("int")[1]
     if ts.peek() == "/":
@@ -133,22 +147,9 @@ def _parse_poly_term(ts: _TokenStream, nvars: int) -> Polynomial:
 
 def _parse_poly(ts: _TokenStream, nvars: int) -> Polynomial:
     total = Polynomial.zero(nvars)
-    sign = 1
-    if ts.peek() == "-":
-        ts.advance()
-        sign = -1
-    elif ts.peek() == "+":
-        ts.advance()
-    while True:
-        total = total + _parse_poly_term(ts, nvars) * sign
-        if ts.peek() == "+":
-            ts.advance()
-            sign = 1
-        elif ts.peek() == "-":
-            ts.advance()
-            sign = -1
-        else:
-            return total
+    for sign, term in _signed_terms(ts, lambda ts: _parse_poly_term(ts, nvars)):
+        total = total + term * sign
+    return total
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
@@ -217,24 +218,10 @@ def _parse_lie_term(ts: _TokenStream, n: int) -> LieExpr:
 
 
 def _parse_lie_expr(ts: _TokenStream, n: int) -> LieExpr:
-    parts = []
-    sign = 1
-    if ts.peek() == "-":
-        ts.advance()
-        sign = -1
-    elif ts.peek() == "+":
-        ts.advance()
-    while True:
-        term = _parse_lie_term(ts, n)
-        parts.append(term if sign == 1 else Scale(-1, term))
-        if ts.peek() == "+":
-            ts.advance()
-            sign = 1
-        elif ts.peek() == "-":
-            ts.advance()
-            sign = -1
-        else:
-            break
+    parts = [
+        term if sign == 1 else Scale(-1, term)
+        for sign, term in _signed_terms(ts, lambda ts: _parse_lie_term(ts, n))
+    ]
     return parts[0] if len(parts) == 1 else Sum(parts)
 
 
@@ -246,6 +233,30 @@ def parse_lie_expr(text: str, n: int) -> LieExpr:
     return expr
 
 
+def _parse_wreath_term(ts: _TokenStream, n: int):
+    """A ``[c*]u<k>*( poly )`` or ``[c*]v<k>`` term as (index, coefficient, poly or None)."""
+    coeff = Fraction(1)
+    if ts.peek() == "int":
+        coeff = _parse_rational(ts)
+        ts.expect("*")
+    if ts.peek() != "var":
+        ts.fail("expected u<k> or v<k>")
+    letter, idx = ts.value()
+    pos = ts.pos()
+    if not 1 <= idx <= n:
+        raise ParseError(f"index {idx} outside 1..{n}", pos)
+    ts.advance()
+    if letter == "v":
+        return idx, coeff, None
+    if letter != "u":
+        raise ParseError("x-variables cannot appear at the top level here", pos)
+    ts.expect("*")
+    ts.expect("(")
+    poly = _parse_poly(ts, n)
+    ts.expect(")")
+    return idx, coeff, poly
+
+
 def parse_wreath(text: str, n: int) -> WreathElement:
     """Parse the textual wreath format back into an element."""
     ts = _TokenStream(text)
@@ -253,42 +264,12 @@ def parse_wreath(text: str, n: int) -> WreathElement:
     vpart = [Fraction(0)] * n
     if ts.peek() == "int" and ts.value() == 0 and ts.tokens[ts.i + 1][0] == "end":
         return WreathElement(n)
-    sign = 1
-    if ts.peek() == "-":
-        ts.advance()
-        sign = -1
-    elif ts.peek() == "+":
-        ts.advance()
-    while True:
-        coeff = Fraction(sign)
-        if ts.peek() == "int":
-            coeff *= _parse_rational(ts)
-            ts.expect("*")
-        if ts.peek() != "var":
-            ts.fail("expected u<k> or v<k>")
-        letter, idx = ts.value()
-        pos = ts.pos()
-        if not 1 <= idx <= n:
-            raise ParseError(f"index {idx} outside 1..{n}", pos)
-        ts.advance()
-        if letter == "u":
-            ts.expect("*")
-            ts.expect("(")
-            poly = _parse_poly(ts, n)
-            ts.expect(")")
-            upart[idx - 1] = upart[idx - 1] + poly * coeff
-        elif letter == "v":
-            vpart[idx - 1] += coeff
+    terms = _signed_terms(ts, lambda ts: _parse_wreath_term(ts, n))
+    if ts.peek() != "end":
+        ts.fail("expected '+', '-' or end of input")
+    for sign, (idx, coeff, poly) in terms:
+        if poly is None:
+            vpart[idx - 1] += sign * coeff
         else:
-            raise ParseError("x-variables cannot appear at the top level here", pos)
-        if ts.peek() == "+":
-            ts.advance()
-            sign = 1
-        elif ts.peek() == "-":
-            ts.advance()
-            sign = -1
-        elif ts.peek() == "end":
-            break
-        else:
-            ts.fail("expected '+', '-' or end of input")
+            upart[idx - 1] = upart[idx - 1] + poly * (sign * coeff)
     return WreathElement(n, tuple(upart), tuple(vpart))

@@ -1,8 +1,13 @@
-"""Permutations of {1, ..., n} and generating sets of the symmetric group."""
+"""Permutations of {1, ..., n} and generating sets of the symmetric group.
+
+``moving_generator`` and ``group_average`` are the one S_n invariance test and
+the one S_n average; polynomials and Lie elements pass in their own action.
+"""
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from itertools import permutations as _all_tuples
 from math import factorial
 
@@ -112,6 +117,26 @@ def enumerate_sn(n: int):
         )
     for images in _all_tuples(range(1, n + 1)):
         yield Permutation(images)
+
+
+def moving_generator(x, act, n: int):
+    """A generator of S_n that moves x, or None if x is fixed by all of S_n.
+
+    ``act(sigma, x)`` is the image of x under sigma.
+    """
+    if n == 1:
+        return None
+    return next((sigma for sigma in sn_generators(n) if act(sigma, x) != x), None)
+
+
+def group_average(x, act, n: int, zero):
+    """The average of ``act(sigma, x)`` over all of S_n; x itself when n = 1."""
+    if n == 1:
+        return x
+    total = zero
+    for sigma in enumerate_sn(n):
+        total = total + act(sigma, x)
+    return total * Fraction(1, factorial(n))
 
 
 _CYCLE_TOKEN = re.compile(r"\s*(\(|\)|\d+|,)")

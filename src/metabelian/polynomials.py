@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from types import MappingProxyType
 
 from .errors import (
     DimensionError,
@@ -25,7 +25,7 @@ from .errors import (
     InvarianceError,
     RankError,
 )
-from .permutations import Permutation, enumerate_sn, sn_generators
+from .permutations import Permutation, group_average, moving_generator
 
 Rational = Fraction
 
@@ -60,6 +60,23 @@ def add_terms(acc, pairs):
         else:
             acc.pop(key, None)
     return acc
+
+
+def read_only(value):
+    """Give a cached value read-only term maps and return it.
+
+    A Polynomial's ``terms``, a LieElement's ``comm`` and the ``terms`` of
+    each u-coefficient of a WreathElement become ``MappingProxyType`` views,
+    so a caller cannot change what later calls of the cache return.
+    """
+    if hasattr(value, "upart"):
+        for p in value.upart:
+            read_only(p)
+    elif hasattr(value, "comm"):
+        value.comm = MappingProxyType(value.comm)
+    else:
+        value.terms = MappingProxyType(value.terms)
+    return value
 
 
 def signed_text(pieces):
@@ -178,10 +195,10 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
-        return Polynomial._wrap(self.nvars, add_terms(dict(self.terms), other.terms.items()))
+        return type(self)._wrap(self.nvars, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._wrap(self.nvars, {m: -c for m, c in self.terms.items()})
+        return type(self)._wrap(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -194,11 +211,11 @@ class Polynomial:
                 for m1, c1 in self.terms.items()
                 for m2, c2 in other.terms.items()
             )
-            return Polynomial._wrap(self.nvars, add_terms({}, products))
+            return type(self)._wrap(self.nvars, add_terms({}, products))
         coeff = as_fraction(other)
         if coeff == 0:
-            return Polynomial.zero(self.nvars)
-        return Polynomial._wrap(self.nvars, {m: c * coeff for m, c in self.terms.items()})
+            return type(self).zero(self.nvars)
+        return type(self)._wrap(self.nvars, {m: c * coeff for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -206,7 +223,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise DimensionError("negative powers are not polynomials")
-        result = Polynomial.one(self.nvars)
+        result = type(self).one(self.nvars)
         base = self
         e = exponent
         while e:
@@ -218,7 +235,7 @@ class Polynomial:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Polynomial)
+            type(other) is type(self)
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
@@ -289,26 +306,25 @@ def elementary_symmetric(n: int, q: int) -> Polynomial:
     if q < 0:
         raise RankError(f"degree must be nonnegative, got {q}")
     if q == 0:
-        return Polynomial.one(n)
+        return read_only(Polynomial.one(n))
     if q > n:
-        return Polynomial.zero(n)
+        return read_only(Polynomial.zero(n))
     terms = {}
     for subset in combinations(range(n), q):
         mono = [0] * n
         for i in subset:
             mono[i] = 1
         terms[tuple(mono)] = _ONE
-    return Polynomial(n, terms)
+    return read_only(Polynomial(n, terms))
+
+
+def _permute(sigma: Permutation, p: Polynomial) -> Polynomial:
+    return p.apply_perm(sigma)
 
 
 def symmetry_violation(p: Polynomial):
     """A generator of S_n that moves p, or None if p is symmetric."""
-    if p.nvars == 1:
-        return None
-    for sigma in sn_generators(p.nvars):
-        if p.apply_perm(sigma) != p:
-            return sigma
-    return None
+    return moving_generator(p, _permute, p.nvars)
 
 
 def is_symmetric(p: Polynomial) -> bool:
@@ -318,13 +334,7 @@ def is_symmetric(p: Polynomial) -> bool:
 
 def reynolds_poly(p: Polynomial) -> Polynomial:
     """Average p over the full symmetric group; the projector onto symmetrics."""
-    n = p.nvars
-    if n == 1:
-        return p
-    total = Polynomial.zero(n)
-    for sigma in enumerate_sn(n):
-        total = total + p.apply_perm(sigma)
-    return total * Fraction(1, factorial(n))
+    return group_average(p, _permute, p.nvars, Polynomial.zero(p.nvars))
 
 
 def expand_e_monomial(n: int, exponents) -> Polynomial:
@@ -340,39 +350,27 @@ def _expand_e_monomial(n: int, exponents: tuple) -> Polynomial:
     for k, mult in enumerate(exponents, start=1):
         if mult:
             result = result * elementary_symmetric(n, k) ** mult
-    return result
+    return read_only(result)
 
 
 expand_e_monomial.cache_info = _expand_e_monomial.cache_info
 
 
-class EDecomposition:
+class EDecomposition(Polynomial):
     """A polynomial in the elementary symmetric polynomials e_1, ..., e_n.
 
-    Stored as a map from exponent vectors on (e_1, ..., e_n) to rational
-    coefficients; expanding and summing the e-monomials recovers the
-    symmetric polynomial it represents.
+    Since the e_k are algebraically independent, the symmetric polynomials
+    form the polynomial ring K[e_1, ..., e_n]: the exponent vectors of the
+    terms are on (e_1, ..., e_n), and expanding and summing the e-monomials
+    recovers the symmetric polynomial it represents.  Ring operations stay in
+    this class, and an EDecomposition never equals a plain Polynomial.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise RankError(f"rank must be positive, got {n}")
-        self.n = n
-        clean = {}
-        if terms:
-            for vec, coeff in terms.items():
-                vec = tuple(vec)
-                if len(vec) != n or any(e < 0 for e in vec):
-                    raise DimensionError(f"bad e-exponent vector {vec} for rank {n}")
-                coeff = as_fraction(coeff)
-                if coeff != 0:
-                    clean[vec] = coeff
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def n(self) -> int:
+        return self.nvars
 
     def expand(self) -> Polynomial:
         total = Polynomial.zero(self.n)
@@ -380,29 +378,8 @@ class EDecomposition:
             total = total + expand_e_monomial(self.n, vec) * coeff
         return total
 
-    def __add__(self, other: "EDecomposition") -> "EDecomposition":
-        if self.n != other.n:
-            raise DimensionError("e-decompositions of different ranks")
-        return EDecomposition(self.n, add_terms(dict(self.terms), other.terms.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EDecomposition)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        names = default_names(self.n, prefix="e")
-        proxy = Polynomial(self.n, self.terms)
-        return proxy.to_text(names)
-
-    def __repr__(self):
-        return self.to_text()
+    def to_text(self, names=None) -> str:
+        return super().to_text(names or default_names(self.n, prefix="e"))
 
 
 def decompose_in_elementary(p: Polynomial) -> EDecomposition:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Exit code, stdout and stderr of one text and one --json request per
+# subcommand, plus text-mode errors: the CLI's output, pinned byte for byte.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"])[:60])
+def test_golden_output(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_golden_covers_every_subcommand_in_text_and_json():
+    requests = {(case["argv"][0], "--json" in case["argv"]) for case in GOLDEN}
+    assert requests == {(name, flag) for name in cli._HANDLERS for flag in (False, True)}
 
 
 def test_normal_form_round_trip(capsys):
@@ -150,6 +166,47 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: reassembled decomposition does not match\n"
+
+
+def _json_error(out):
+    data = json.loads(out)
+    assert set(data) == {"schema", "error"} and data["schema"] == 1
+    return data["error"]
+
+
+def test_json_parse_error_exits_1(capsys):
+    code, out, err = run(capsys, "normal-form", "--n", "2", "[x2,x1", "--json")
+    assert code == 1
+    assert err == "parse error: expected ']' (at position 6)\n"
+    assert _json_error(out) == {"type": "ParseError", "message": "expected ']' (at position 6)"}
+    code, out, err = run(capsys, "preimage", "--n", "2", '{"u": [', "--json")
+    assert code == 1
+    assert err.startswith("parse error: ")
+    assert _json_error(out)["type"] == "JSONDecodeError"
+
+
+def test_json_domain_error_exits_2(capsys):
+    code, out, err = run(capsys, "decompose", "--n", "2", "[x2,x1]", "--json")
+    assert code == 2
+    assert err == "error: element is not invariant: moved by (1 2)\n"
+    assert _json_error(out) == {
+        "type": "InvarianceError",
+        "message": "element is not invariant: moved by (1 2)",
+    }
+
+
+def test_json_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise InternalConsistencyError("reassembled decomposition does not match")
+
+    monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
+    code, out, err = run(capsys, "decompose", "--n", "2", "[x2,x1]", "--json")
+    assert code == 3
+    assert err == "internal error: reassembled decomposition does not match\n"
+    assert _json_error(out) == {
+        "type": "InternalConsistencyError",
+        "message": "reassembled decomposition does not match",
+    }
 
 
 def test_verify_relations(capsys):

@@ -362,3 +362,49 @@ def test_basis_commutator_enumeration_counts():
     assert len(_basis_commutators(3, 2)) == 3
     # rank 2: one choice of pair, tails are multisets over {1, 2}
     assert len(_basis_commutators(2, 5)) == 4
+
+
+CACHED_VALUES = [
+    (lambda: elementary_symmetric(3, 1), "x1 + x2 + x3"),
+    (
+        lambda: expand_e_monomial(3, (1, 1, 0)),
+        "x1^2*x2 + x1^2*x3 + x1*x2^2 + 3*x1*x2*x3 + x1*x3^2 + x2^2*x3 + x2*x3^2",
+    ),
+    (lambda: epsilon(3, 2), "u1*( x2 + x3 ) + u2*( x1 + x3 ) + u3*( x1 + x2 )"),
+    (
+        lambda: generator_h(3, 1, 2),
+        "u1*( x1*x2 + x1*x3 - x2^2 - x3^2 ) + u2*( -x1^2 + x1*x2 + x2*x3 - x3^2 )"
+        " + u3*( -x1^2 + x1*x3 - x2^2 + x2*x3 )",
+    ),
+    (
+        lambda: generator_h_lie(3, 1, 2),
+        "-[x2,x1,x1] + [x2,x1,x2] - [x3,x1,x1] + [x3,x1,x3] - [x3,x2,x2] + [x3,x2,x3]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    CACHED_VALUES,
+    ids=["elementary_symmetric", "expand_e_monomial", "epsilon", "generator_h", "generator_h_lie"],
+)
+def test_cached_values_reject_mutation(call, text):
+    value = call()
+    if hasattr(value, "upart"):
+        term_maps = [p.terms for p in value.upart]
+    else:
+        term_maps = [value.comm if isinstance(value, LieElement) else value.terms]
+    for terms in term_maps:
+        key = next(iter(terms))
+        with pytest.raises(TypeError):
+            terms[key] = 0
+        with pytest.raises(TypeError):
+            del terms[key]
+        with pytest.raises(AttributeError):
+            terms.clear()
+    assert call() is value
+    assert value.to_text() == text
+    # values built later from the cached ones are unaffected as well
+    generator_h.cache_clear()
+    generator_h_lie.cache_clear()
+    assert generator_h_lie(3, 1, 2).to_text() == CACHED_VALUES[-1][1]

@@ -113,3 +113,43 @@ def test_wreath_errors():
         parse_wreath("u3*( x1 )", 2)
     with pytest.raises(ParseError):
         parse_wreath("x1 + x2", 2)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, pos",
+    [
+        # a sign with no term after it, at the start or after a sign
+        (parse_polynomial, "--x1", "expected a polynomial term", 1),
+        (parse_lie_expr, "--x1", "expected x<k>, '[' or '('", 1),
+        (parse_wreath, "--v1", "expected u<k> or v<k>", 1),
+        (parse_polynomial, "+x1 - -x2", "expected a polynomial term", 6),
+        (parse_lie_expr, "-[x2,x1] + +x1", "expected x<k>, '[' or '('", 11),
+        # a dangling + or - at the end
+        (parse_polynomial, "x1 +", "expected a polynomial term", 4),
+        (parse_polynomial, "-", "expected a polynomial term", 1),
+        (parse_lie_expr, "[x2,x1] -", "expected x<k>, '[' or '('", 9),
+        (parse_wreath, "u1*( x2 ) -", "expected u<k> or v<k>", 11),
+        # junk after a term, at the top level and nested
+        (parse_polynomial, "2*x1 3", "trailing input after polynomial", 5),
+        (parse_lie_expr, "[x2,x1] x1", "trailing input after expression", 8),
+        (parse_lie_expr, "[x2,x1 x1]", "expected ']'", 7),
+        (parse_lie_expr, "[x2,x1] ad(x1 x2)", "expected ')'", 14),
+        (parse_wreath, "v1 v2", "expected '+', '-' or end of input", 3),
+        (parse_wreath, "u1*( x2 ) x1", "expected '+', '-' or end of input", 10),
+        (parse_wreath, "u1*( x2 x1 )", "expected ')'", 8),
+        # the wreath grammar's bare 0 only stands alone
+        (parse_wreath, "0 + v1", "expected '*'", 2),
+        (parse_wreath, "-0", "expected '*'", 2),
+    ],
+)
+def test_signed_sum_errors_are_pinned(parse, text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text, 2)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+def test_wreath_bare_zero():
+    for text in ("0", " 0 ", "00"):
+        assert parse_wreath(text, 2).is_zero()
+    assert parse_wreath("+v1 - 0*v2", 2).vpart == (Fraction(1), Fraction(0))

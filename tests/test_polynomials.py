@@ -224,3 +224,18 @@ def test_text_rendering():
     assert (x(2, 1) - Polynomial.one(2)).to_text() == "x1 - 1"
     assert Polynomial.constant(2, -1).to_text() == "-1"
     assert EDecomposition(2, {(2, 0): 1, (0, 1): -2}).to_text() == "e1^2 - 2*e2"
+
+
+def test_edecomposition_ring_operations_stay_in_e():
+    a = EDecomposition(2, {(2, 0): 1})
+    b = EDecomposition(2, {(0, 1): -2})
+    total = a + b
+    assert repr(total) == total.to_text() == "e1^2 - 2*e2"
+    assert total.n == 2
+    for result in (total, -a, a - b, a * b, a * 3, a * 0, a ** 2, a ** 0):
+        assert type(result) is EDecomposition
+    assert (a - a).is_zero() and (a - a).to_text() == "0"
+    # an EDecomposition never equals the plain polynomial with the same terms
+    plain = Polynomial(2, {(2, 0): 1})
+    assert a != plain and plain != a
+    assert a == EDecomposition(2, {(2, 0): 1})
