@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .errors import (
     DomainError,
@@ -27,8 +27,8 @@ from .errors import (
     RankError,
 )
 from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, grade
-from .linalg import nullspace, solve_exact
-from .permutations import group_average, moving_generator, sn_generators
+from .linalg import _integer_rows, _reduce, solve_exact
+from .permutations import group_average, moving_generator
 from .polynomials import (
     EDecomposition,
     Polynomial,
@@ -295,55 +295,33 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     return result
 
 
-def _basis_commutators(n: int, d: int):
-    """All degree-d basis commutators on n variables, in canonical order."""
-    out = []
-    for i2 in range(1, n + 1):
-        for i1 in range(i2 + 1, n + 1):
-            for tail in combinations_with_replacement(range(i2, n + 1), d - 2):
-                out.append(BasisCommutator(i1, i2, tail))
-    out.sort(key=BasisCommutator.sort_key)
-    return out
-
-
 def invariant_space_basis(n: int, d: int):
-    """Exact basis of the degree-d invariants, by brute-force linear algebra.
+    """Exact basis of the degree-d invariants, built from the generators h_ij.
 
-    Lists the degree-d monomial basis of the whole algebra and solves
-    sigma(f) = f for the two generators of S_n.
+    For each e-exponent vector a of weighted degree d with support
+    j_1 < ... < j_m, the h_{j_1,j_k} * e^(a - delta_{j_1} - delta_{j_k}), k >= 2,
+    form a basis: as many as the Hilbert function counts, with distinct
+    embedded images eps_j * e^b.  Returned in reduced echelon form with the
+    commutators in decreasing order, each row 1 at its pivot, in increasing
+    pivot order: the kernel basis of sigma - 1 that sets one free commutator
+    to 1 and the others to 0.
     """
     if d < 1:
         return []
     if d == 1:
-        elems = [LieElement.variable(n, k) for k in range(1, n + 1)]
-
-        def coords(e):
-            return list(e.linear)
-
-    else:
-        basis = _basis_commutators(n, d)
-        index = {c: k for k, c in enumerate(basis)}
-        elems = [LieElement.from_commutator(n, c) for c in basis]
-
-        def coords(e):
-            vec = [_ZERO] * len(basis)
-            for c, coeff in e.comm.items():
-                vec[index[c]] = coeff
-            return vec
-
-    size = len(elems)
-    if size == 0:
-        return []
-    rows = []
-    for sigma in sn_generators(n):
-        columns = [coords(apply_perm_lie(sigma, e)) for e in elems]
-        for r in range(size):
-            rows.append([columns[k][r] - (_ONE if k == r else _ZERO) for k in range(size)])
-    out = []
-    for vec in nullspace(rows, size):
-        total = LieElement.zero(n)
-        for k, coeff in enumerate(vec):
-            if coeff != 0:
-                total = total + elems[k] * coeff
-        out.append(total)
-    return out
+        return [sum_of_variables(n)]
+    span = []
+    for a in weighted_exponent_vectors(n, d):
+        support = [j for j, v in enumerate(a, 1) if v]
+        j1 = support[0]
+        for jk in support[1:]:
+            b = [v - (j in (j1, jk)) for j, v in enumerate(a, 1)]
+            span.append(ad_action(generator_h_lie(n, j1, jk), expand_e_monomial(n, b)).comm)
+    columns = sorted(set().union(*span), key=BasisCommutator.sort_key, reverse=True)
+    rows = _integer_rows([[comm.get(c, _ZERO) for c in columns] for comm in span])
+    pivots = _reduce(rows, len(columns))
+    basis = [
+        LieElement(n, None, {c: Fraction(v, row[p]) for c, v in zip(columns, row) if v})
+        for row, p in zip(rows, pivots)
+    ]
+    return basis[::-1]

@@ -4,17 +4,24 @@
 ``_ad_one``, rebuilding a dict per factor; ``preimage`` clears the graded-lex
 largest content class one at a time with a full rescan per class; and
 ``solve_exact`` / ``nullspace`` run classical Gauss-Jordan elimination on
-Fraction entries.  ``tests/test_fast_paths.py`` requires the library's
-closed-form ad-action, single-pass preimage and fraction-free integer
-elimination to return exactly what these return.
+Fraction entries; and ``invariant_space_basis`` lists every degree-d basis
+commutator and takes the kernel of sigma - 1 over the two generators of S_n
+with ``linalg.nullspace``, looked up at call time so that a test can swap in
+the ``nullspace`` above.
+``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
+single-pass preimage, fraction-free integer elimination and constructive
+invariant basis to return exactly what these return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
+from metabelian import linalg
 from metabelian.errors import InternalConsistencyError, MembershipError
-from metabelian.lie import BasisCommutator, LieElement
+from metabelian.lie import BasisCommutator, LieElement, apply_perm_lie
+from metabelian.permutations import sn_generators
 from metabelian.polynomials import Polynomial, grlex_key
 
 _ZERO = Fraction(0)
@@ -214,3 +221,56 @@ def preimage(w: WreathElement) -> LieElement:
                     acc[c2] = cur
     return LieElement(n, linear, acc)
 
+
+def _basis_commutators(n: int, d: int):
+    """All degree-d basis commutators on n variables, in canonical order."""
+    out = []
+    for i2 in range(1, n + 1):
+        for i1 in range(i2 + 1, n + 1):
+            for tail in combinations_with_replacement(range(i2, n + 1), d - 2):
+                out.append(BasisCommutator(i1, i2, tail))
+    out.sort(key=BasisCommutator.sort_key)
+    return out
+
+
+def invariant_space_basis(n: int, d: int):
+    """Exact basis of the degree-d invariants, by brute-force linear algebra.
+
+    Lists the degree-d monomial basis of the whole algebra and solves
+    sigma(f) = f for the two generators of S_n.
+    """
+    if d < 1:
+        return []
+    if d == 1:
+        elems = [LieElement.variable(n, k) for k in range(1, n + 1)]
+
+        def coords(e):
+            return list(e.linear)
+
+    else:
+        basis = _basis_commutators(n, d)
+        index = {c: k for k, c in enumerate(basis)}
+        elems = [LieElement.from_commutator(n, c) for c in basis]
+
+        def coords(e):
+            vec = [_ZERO] * len(basis)
+            for c, coeff in e.comm.items():
+                vec[index[c]] = coeff
+            return vec
+
+    size = len(elems)
+    if size == 0:
+        return []
+    rows = []
+    for sigma in sn_generators(n):
+        columns = [coords(apply_perm_lie(sigma, e)) for e in elems]
+        for r in range(size):
+            rows.append([columns[k][r] - (_ONE if k == r else _ZERO) for k in range(size)])
+    out = []
+    for vec in linalg.nullspace(rows, size):
+        total = LieElement.zero(n)
+        for k, coeff in enumerate(vec):
+            if coeff != 0:
+                total = total + elems[k] * coeff
+        out.append(total)
+    return out

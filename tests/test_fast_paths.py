@@ -1,6 +1,6 @@
-"""The closed-form ad-action, the single-pass preimage and the fraction-free
-elimination must return exactly what the original slow paths in
-reference_impl.py return."""
+"""The closed-form ad-action, the single-pass preimage, the fraction-free
+elimination and the constructive invariant basis must return exactly what the
+original slow paths in reference_impl.py return."""
 
 import random
 from fractions import Fraction
@@ -26,7 +26,7 @@ from metabelian import (
     preimage,
     reynolds_lie,
 )
-from metabelian import invariants
+from metabelian import invariants, linalg
 from metabelian.lie import _ad, _factors
 from metabelian.linalg import nullspace, solve_exact
 
@@ -157,9 +157,27 @@ def test_nullspace_edge_cases_match_the_reference(rows, ncols):
 
 @pytest.mark.parametrize("n, d", [(3, 5), (4, 5)])
 def test_basis_oracle_matches_the_reference_nullspace(monkeypatch, n, d):
+    fast = ref.invariant_space_basis(n, d)
+    monkeypatch.setattr(linalg, "nullspace", ref.nullspace)
+    assert fast == ref.invariant_space_basis(n, d)
+
+
+# (1, 1) is left to test_invariant_basis_small_cases: the oracle's S_n
+# generators need n >= 2
+BASIS_GRID = [
+    (n, d)
+    for n, dmax in ((1, 4), (2, 7), (3, 6), (4, 6), (5, 5), (6, 4))
+    for d in range(1, dmax + 1)
+    if (n, d) != (1, 1)
+]
+
+
+@pytest.mark.parametrize("n, d", BASIS_GRID)
+def test_constructive_basis_matches_the_reference_oracle(n, d):
     fast = invariant_space_basis(n, d)
-    monkeypatch.setattr(invariants, "nullspace", ref.nullspace)
-    assert fast == invariant_space_basis(n, d)
+    slow = ref.invariant_space_basis(n, d)
+    assert fast == slow
+    assert [f.to_text() for f in fast] == [f.to_text() for f in slow]
 
 
 @pytest.mark.parametrize("n, d", [(3, 6), (4, 5), (5, 4)])

@@ -39,9 +39,10 @@ from metabelian import (
     sum_of_variables,
     verify_module_relation,
 )
-from metabelian.invariants import _basis_commutators, weighted_exponent_vectors
+from metabelian.invariants import weighted_exponent_vectors
 from metabelian.linalg import solve_exact
 from helpers import random_homogeneous_commutator, random_lie_element, z_vector
+from reference_impl import _basis_commutators
 
 xp = Polynomial.variable
 
@@ -274,6 +275,10 @@ def test_invariant_basis_small_cases():
     assert invariant_space_basis(2, 2) == []
     deg4 = invariant_space_basis(2, 4)
     assert len(deg4) == 1
+    # rank 1: x1 is invariant and there are no commutators
+    assert invariant_space_basis(1, 1) == [sum_of_variables(1)]
+    for d in range(2, 6):
+        assert invariant_space_basis(1, d) == []
 
 
 def partitions_bounded(n, m):
@@ -294,7 +299,7 @@ def hilbert_function(n, d):
     ) - partitions_bounded(n, d)
 
 
-@pytest.mark.parametrize("n, dmax", [(2, 7), (3, 6), (4, 5)])
+@pytest.mark.parametrize("n, dmax", [(2, 7), (3, 6), (4, 5), (5, 6), (6, 6), (7, 5)])
 def test_invariant_basis_dimension_matches_closed_form(n, dmax):
     for d in range(1, dmax + 1):
         assert len(invariant_space_basis(n, d)) == hilbert_function(n, d)
