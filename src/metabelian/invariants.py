@@ -27,17 +27,19 @@ from .errors import (
     RankError,
 )
 from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, grade
-from .linalg import _integer_rows, _reduce, solve_exact
+from .linalg import _integer_rows, _reduce
 from .permutations import group_average, moving_generator
 from .polynomials import (
     EDecomposition,
     Polynomial,
     add_terms,
     as_fraction,
+    decompose_in_elementary,
     elementary_symmetric,
     expand_e_monomial,
     grlex_key,
     read_only,
+    unit_vector,
 )
 from .wreath import WreathElement, embed, preimage
 
@@ -210,26 +212,78 @@ def weighted_exponent_vectors(n: int, m: int):
     return tuple(out)
 
 
-def _wreath_coordinates(w: WreathElement) -> dict:
-    coords = {}
-    for i, p in enumerate(w.upart):
-        for mono, coeff in p.terms.items():
-            coords[(i, mono)] = coeff
-    return coords
+def _e_prime(n: int, m: int) -> Polynomial:
+    """e_m(x_2, ..., x_n) = sum_{i <= m} (-x_1)^i * e_{m-i} in K[x_1, e_1..e_n].
+
+    The ring is a Polynomial over n + 1 variables, x_1 first and e_q in slot
+    q.  The x_1-leading term is (-x_1)^m.  As x_2..x_n are n - 1 variables,
+    _e_prime(n, n) stands for zero: it is the relation
+    x_1^n = sum_q (-1)^(q+1) e_q x_1^(n-q).
+    """
+    return Polynomial(
+        n + 1, {(i,) + unit_vector(n + 1, m - i)[1:]: (-1) ** i for i in range(m + 1)}
+    )
+
+
+def _module_coordinates(p1: Polynomial, d: int):
+    """The (j, b, gamma) with p1 = sum_j e_{j-1}(x_2..x_n) * sum_b gamma * e^b.
+
+    p1 is the u_1-coordinate of a degree-d invariant, a polynomial of degree
+    d - 1 symmetric in x_2..x_n; a term of another degree or a coefficient
+    that is not symmetric is outside the span of the eps_j.  Grouped by the
+    power of x_1, each coefficient is a polynomial in the e_k(x_2..x_n);
+    substituting those in K[x_1, e_1..e_n] and dividing from the top
+    x_1-degree k down by e_m(x_2..x_n), m = min(k, n), both reduces x_1^k for
+    k >= n and peels off r_{k+1} for k < n.  The Chevalley basis
+    1, x_1, ..., x_1^(n-1) of the S_(n-1)-invariants over the symmetric
+    polynomials makes the r_j unique.
+    """
+    n = p1.nvars
+    outside = InternalConsistencyError(
+        f"degree-{d} component is outside the span of the eps_j generators"
+    )
+    if any(sum(mono) != d - 1 for mono in p1.terms):
+        raise outside
+    groups = {}
+    for mono, coeff in p1.terms.items():
+        groups.setdefault(mono[0], {})[mono[1:]] = coeff
+    e_prime = [_e_prime(n, m) for m in range(n + 1)]
+    work = Polynomial.zero(n + 1)
+    for k, group in groups.items():
+        try:
+            g = decompose_in_elementary(Polynomial(n - 1, group))
+        except InvarianceError:
+            raise outside from None
+        shift = Polynomial.monomial(n + 1, (k,) + (0,) * n)
+        work = work + shift * g.substitute(e_prime[1:n])
+    out = []
+    for k in range(max((mono[0] for mono in work.terms), default=-1), -1, -1):
+        top = {mono[1:]: c for mono, c in work.terms.items() if mono[0] == k}
+        if not top:
+            continue
+        m = min(k, n)
+        sign = (-1) ** m
+        quotient = Polynomial(n + 1, {(k - m,) + b: sign * c for b, c in top.items()})
+        work = work - quotient * e_prime[m]
+        if k < n:
+            out.extend((k + 1, b, sign * c) for b, c in top.items())
+    return out
 
 
 def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     """Decompose an invariant element over the module generators h_ij.
 
     The linear part must be a multiple of x_1 + ... + x_n and is peeled off.
-    Per homogeneous degree d, the embedded component is solved exactly as
-    sum_j eps_j * r_j with each r_j an unknown combination of e-monomials of
-    weighted degree d - j (deterministic Gauss elimination, unknowns ordered
-    by j then graded-lex).  Writing r_j's coefficients against the exponent
-    vector a obtained by bumping position j, each fixed a satisfies
-    sum_j j * alpha_{a,j} = 0, so the weighted-kernel expansion converts the
-    block into h_{j1,jk} terms with e-monomial coefficients.  The result is
-    re-verified against the embedding before returning.
+    Per homogeneous degree d, the embedded component is sum_j eps_j * r_j
+    with each r_j symmetric of weighted degree d - j, so its u_1-coordinate
+    is sum_j e_{j-1}(x_2..x_n) * r_j; the r_j are peeled off that coordinate
+    in the Chevalley basis 1, x_1, ..., x_1^(n-1) over the symmetric
+    polynomials, from the top x_1-degree down (no linear solve).  Writing r_j's
+    coefficients against the exponent vector a obtained by bumping position
+    j, each fixed a satisfies sum_j j * alpha_{a,j} = 0, so the
+    weighted-kernel expansion converts the block into h_{j1,jk} terms with
+    e-monomial coefficients.  The result is re-verified against the
+    embedding before returning.
     """
     n = f.n
     violation = invariance_violation(f)
@@ -241,26 +295,8 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     fc = f.commutator_part()
     parts_acc = {}
     for d in fc.degrees():
-        wd = embed(grade(fc, d))
-        unknowns = []
-        for j in range(1, min(n, d) + 1):
-            for b in sorted(weighted_exponent_vectors(n, d - j), key=grlex_key):
-                unknowns.append((j, b))
-        columns = [
-            _wreath_coordinates(
-                epsilon(n, j).module_mul(expand_e_monomial(n, b))
-            )
-            for j, b in unknowns
-        ]
-        solution = solve_exact(columns, _wreath_coordinates(wd))
-        if solution is None:
-            raise InternalConsistencyError(
-                f"degree-{d} component is outside the span of the eps_j generators"
-            )
         alpha = {}
-        for (j, b), gamma in zip(unknowns, solution):
-            if gamma == 0:
-                continue
+        for j, b, gamma in _module_coordinates(embed(grade(fc, d)).upart[0], d):
             a = list(b)
             a[j - 1] += 1
             a = tuple(a)

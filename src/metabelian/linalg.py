@@ -4,8 +4,8 @@ Small systems only.  The solvers clear each row's denominators and run
 fraction-free Gauss-Jordan elimination on integers (after Bareiss): only
 reading the result off divides, by the pivot.  The reduced row echelon form
 is unique, so results do not depend on the row scaling.
-``nullspace`` has no library caller: it stays as an entry point the
-benchmark's traced run spans, and as a test reference.
+``solve_exact`` and ``nullspace`` have no library caller: they stay as entry
+points the benchmark's traced run spans, and as test references.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Seeded random generators and independent oracles shared by the tests."""
+"""Seeded random generators, independent oracles and an embedding perturbation
+shared by the tests."""
 
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from metabelian import (
     Var,
     WreathElement,
     bracket_wreath,
+    embed,
+    invariants,
 )
 
 
@@ -128,3 +131,21 @@ def z_vector(n, j1, jk):
     vec[j1 - 1] = Fraction(jk)
     vec[jk - 1] = Fraction(-j1)
     return vec
+
+
+def perturb_u1(monkeypatch, extra):
+    """Make decompose_invariant see ``extra`` added to every embedded u_1."""
+
+    def perturbed(f):
+        w = embed(f)
+        return WreathElement(w.n, (w.upart[0] + extra,) + w.upart[1:], w.vpart)
+
+    monkeypatch.setattr(invariants, "embed", perturbed)
+
+
+# h_12 has degree 3, so its u_1-coordinate has degree 2: a constant is out of
+# reach of the degree-3 module coordinates, and x2^2 is not symmetric in x2, x3
+U1_PERTURBATIONS = {
+    "out-of-span": Polynomial.one(3),
+    "not-symmetric": Polynomial.variable(3, 2) ** 2,
+}

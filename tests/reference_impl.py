@@ -2,15 +2,18 @@
 
 ``_ad_monomial`` acts by a monomial one ad-factor at a time through
 ``_ad_one``, rebuilding a dict per factor; ``preimage`` clears the graded-lex
-largest content class one at a time with a full rescan per class; and
+largest content class one at a time with a full rescan per class;
 ``solve_exact`` / ``nullspace`` run classical Gauss-Jordan elimination on
-Fraction entries; and ``invariant_space_basis`` lists every degree-d basis
+Fraction entries; ``invariant_space_basis`` lists every degree-d basis
 commutator and takes the kernel of sigma - 1 over the two generators of S_n
-with ``linalg.nullspace``, looked up at call time so that a test can swap in
-the ``nullspace`` above.
+with ``linalg.nullspace``; and ``decompose_invariant`` builds, per degree,
+every column eps_j * e^b as wreath coordinates and solves for the embedded
+component with ``linalg.solve_exact``.  Both ``linalg`` functions are looked
+up at call time so that a test can swap in the Fraction versions above.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
-single-pass preimage, fraction-free integer elimination and constructive
-invariant basis to return exactly what these return.
+single-pass preimage, fraction-free integer elimination, constructive
+invariant basis and structured decomposition to return exactly what these
+return.
 """
 
 from __future__ import annotations
@@ -19,10 +22,25 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from metabelian import linalg
-from metabelian.errors import InternalConsistencyError, MembershipError
-from metabelian.lie import BasisCommutator, LieElement, apply_perm_lie
+from metabelian.errors import InternalConsistencyError, InvarianceError, MembershipError
+from metabelian.invariants import (
+    InvariantDecomposition,
+    epsilon,
+    generator_h,
+    invariance_violation,
+    solve_weighted_kernel,
+    weighted_exponent_vectors,
+)
+from metabelian.lie import BasisCommutator, LieElement, apply_perm_lie, grade
 from metabelian.permutations import sn_generators
-from metabelian.polynomials import Polynomial, grlex_key
+from metabelian.polynomials import (
+    EDecomposition,
+    Polynomial,
+    add_terms,
+    expand_e_monomial,
+    grlex_key,
+)
+from metabelian.wreath import WreathElement, embed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -274,3 +292,88 @@ def invariant_space_basis(n: int, d: int):
                 total = total + elems[k] * coeff
         out.append(total)
     return out
+
+
+def _wreath_coordinates(w: WreathElement) -> dict:
+    coords = {}
+    for i, p in enumerate(w.upart):
+        for mono, coeff in p.terms.items():
+            coords[(i, mono)] = coeff
+    return coords
+
+
+def decompose_invariant(f: LieElement) -> InvariantDecomposition:
+    """Decompose an invariant element over the module generators h_ij.
+
+    The linear part must be a multiple of x_1 + ... + x_n and is peeled off.
+    Per homogeneous degree d, the embedded component is solved exactly as
+    sum_j eps_j * r_j with each r_j an unknown combination of e-monomials of
+    weighted degree d - j (deterministic Gauss elimination, unknowns ordered
+    by j then graded-lex).  Writing r_j's coefficients against the exponent
+    vector a obtained by bumping position j, each fixed a satisfies
+    sum_j j * alpha_{a,j} = 0, so the weighted-kernel expansion converts the
+    block into h_{j1,jk} terms with e-monomial coefficients.  The result is
+    re-verified against the embedding before returning.
+    """
+    n = f.n
+    violation = invariance_violation(f)
+    if violation is not None:
+        raise InvarianceError(f"element is not invariant: moved by {violation}", violation)
+    f1_coeff = f.linear[0]
+    if any(v != f1_coeff for v in f.linear):
+        raise InternalConsistencyError("invariant element with non-uniform linear part")
+    fc = f.commutator_part()
+    parts_acc = {}
+    for d in fc.degrees():
+        wd = embed(grade(fc, d))
+        unknowns = []
+        for j in range(1, min(n, d) + 1):
+            for b in sorted(weighted_exponent_vectors(n, d - j), key=grlex_key):
+                unknowns.append((j, b))
+        columns = [
+            _wreath_coordinates(
+                epsilon(n, j).module_mul(expand_e_monomial(n, b))
+            )
+            for j, b in unknowns
+        ]
+        solution = linalg.solve_exact(columns, _wreath_coordinates(wd))
+        if solution is None:
+            raise InternalConsistencyError(
+                f"degree-{d} component is outside the span of the eps_j generators"
+            )
+        alpha = {}
+        for (j, b), gamma in zip(unknowns, solution):
+            if gamma == 0:
+                continue
+            a = list(b)
+            a[j - 1] += 1
+            a = tuple(a)
+            vec = alpha.setdefault(a, [_ZERO] * n)
+            vec[j - 1] += gamma
+        for a, cvec in sorted(alpha.items(), key=lambda kv: grlex_key(kv[0])):
+            if all(v == 0 for v in cvec):
+                continue
+            if sum((k + 1) * v for k, v in enumerate(cvec)) != 0:
+                raise InternalConsistencyError(
+                    f"block {a} violates the weighted constraint; "
+                    "the input cannot come from the commutator ideal"
+                )
+            j1 = next(k + 1 for k, v in enumerate(cvec) if v != 0)
+            for jk, beta in solve_weighted_kernel(cvec).items():
+                newexp = list(a)
+                newexp[j1 - 1] -= 1
+                newexp[jk - 1] -= 1
+                if min(newexp) < 0:
+                    raise InternalConsistencyError(
+                        f"negative e-exponent while splitting block {a}"
+                    )
+                add_terms(parts_acc.setdefault((j1, jk), {}), ((tuple(newexp), beta),))
+    result = InvariantDecomposition(
+        n, f1_coeff, {pair: EDecomposition(n, terms) for pair, terms in parts_acc.items()}
+    )
+    check = WreathElement.zero(n)
+    for i, j, q in result.items():
+        check = check + generator_h(n, i, j).module_mul(q.expand())
+    if check != embed(fc):
+        raise InternalConsistencyError("reassembled decomposition does not match the input")
+    return result

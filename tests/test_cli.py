@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import U1_PERTURBATIONS, perturb_u1
 from metabelian import InternalConsistencyError, cli
 from metabelian.cli import main
 
@@ -166,6 +167,15 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: reassembled decomposition does not match\n"
+
+
+@pytest.mark.parametrize("extra", U1_PERTURBATIONS.values(), ids=U1_PERTURBATIONS)
+def test_decompose_outside_the_eps_span_exits_3(capsys, monkeypatch, extra):
+    perturb_u1(monkeypatch, extra)
+    h12 = "[x2,x1,x2-x1] + [x3,x1,x3-x1] + [x3,x2,x3-x2]"
+    code, out, err = run(capsys, "decompose", "--n", "3", h12)
+    assert (code, out) == (3, "")
+    assert err == "internal error: degree-3 component is outside the span of the eps_j generators\n"
 
 
 def _json_error(out):

@@ -1,6 +1,7 @@
 """The closed-form ad-action, the single-pass preimage, the fraction-free
-elimination and the constructive invariant basis must return exactly what the
-original slow paths in reference_impl.py return."""
+elimination, the constructive invariant basis and the structured
+decomposition must return exactly what the original slow paths in
+reference_impl.py return."""
 
 import random
 from fractions import Fraction
@@ -17,16 +18,20 @@ from metabelian import (
     MembershipError,
     Polynomial,
     WreathElement,
+    ad_action,
     decompose_invariant,
     embed,
+    expand_e_monomial,
     generator_h,
     generator_h_lie,
     invariant_space_basis,
     membership_residual,
     preimage,
     reynolds_lie,
+    sum_of_variables,
 )
-from metabelian import invariants, linalg
+from metabelian import linalg
+from metabelian.invariants import weighted_exponent_vectors
 from metabelian.lie import _ad, _factors
 from metabelian.linalg import nullspace, solve_exact
 
@@ -184,7 +189,30 @@ def test_constructive_basis_matches_the_reference_oracle(n, d):
 def test_decompose_matches_the_reference_solve(monkeypatch, n, d):
     f = reynolds_lie(random_lie_element(random.Random(10 * n + d), n, d, comm_terms=3))
     fast = decompose_invariant(f)
-    monkeypatch.setattr(invariants, "solve_exact", ref.solve_exact)
-    slow = decompose_invariant(f)
-    assert fast.to_text() == slow.to_text()
+    slow = ref.decompose_invariant(f)
+    monkeypatch.setattr(linalg, "solve_exact", ref.solve_exact)
+    assert fast.to_text() == slow.to_text() == ref.decompose_invariant(f).to_text()
+    assert fast.verify(f)
+
+
+@st.composite
+def generator_combinations(draw):
+    """An invariant at rank n in 2..6: a rational multiple of x_1 + ... + x_n
+    plus rational multiples of h_ij * e^b in degrees 3..min(n + 1, 6), so
+    below, at and above n where the rank allows."""
+    n = draw(st.integers(2, 6))
+    f = sum_of_variables(n) * draw(fractions)
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(3, min(n + 1, 6)))
+        i, j = draw(st.sampled_from([p for p in combinations(range(1, n + 1), 2) if sum(p) <= d]))
+        b = draw(st.sampled_from(weighted_exponent_vectors(n, d - i - j)))
+        f = f + ad_action(generator_h_lie(n, i, j), expand_e_monomial(n, b)) * draw(fractions)
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_combinations())
+def test_structured_decompose_matches_the_reference_solve(f):
+    fast = decompose_invariant(f)
+    assert fast.to_text() == ref.decompose_invariant(f).to_text()
     assert fast.verify(f)

@@ -8,6 +8,7 @@ from metabelian import (
     BasisCommutator,
     DomainError,
     EDecomposition,
+    InternalConsistencyError,
     InvarianceError,
     KernelError,
     LieElement,
@@ -39,9 +40,17 @@ from metabelian import (
     sum_of_variables,
     verify_module_relation,
 )
+from metabelian import invariants, linalg
 from metabelian.invariants import weighted_exponent_vectors
 from metabelian.linalg import solve_exact
-from helpers import random_homogeneous_commutator, random_lie_element, z_vector
+from helpers import (
+    U1_PERTURBATIONS,
+    perturb_u1,
+    random_fraction,
+    random_homogeneous_commutator,
+    random_lie_element,
+    z_vector,
+)
 from reference_impl import _basis_commutators
 
 xp = Polynomial.variable
@@ -267,6 +276,32 @@ def test_decompose_rejects_non_invariant():
     with pytest.raises(InvarianceError) as err:
         decompose_invariant(LieElement.from_commutator(2, BasisCommutator(2, 1)))
     assert err.value.permutation is not None
+
+
+@pytest.mark.parametrize("extra", U1_PERTURBATIONS.values(), ids=U1_PERTURBATIONS)
+def test_decompose_outside_the_eps_span_is_an_internal_error(monkeypatch, extra):
+    perturb_u1(monkeypatch, extra)
+    with pytest.raises(InternalConsistencyError) as err:
+        decompose_invariant(generator_h_lie(3, 1, 2))
+    assert str(err.value) == "degree-3 component is outside the span of the eps_j generators"
+
+
+def test_decompose_uses_no_linear_algebra(monkeypatch):
+    n, d = 6, 7
+    rng = random.Random(67)
+    f = sum_of_variables(n) * 2
+    for i, j in combinations(range(1, n + 1), 2):
+        for b in weighted_exponent_vectors(n, d - i - j):
+            term = ad_action(generator_h_lie(n, i, j), expand_e_monomial(n, b))
+            f = f + term * random_fraction(rng, zero_ok=False)
+
+    def refuse(*args):
+        raise AssertionError("decompose_invariant ran an elimination")
+
+    monkeypatch.setattr(linalg, "solve_exact", refuse)
+    monkeypatch.setattr(linalg, "_reduce", refuse)
+    monkeypatch.setattr(invariants, "_reduce", refuse)
+    assert decompose_invariant(f).verify(f)
 
 
 def test_invariant_basis_small_cases():
