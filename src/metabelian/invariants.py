@@ -120,7 +120,7 @@ def is_invariant_lie(f: LieElement) -> bool:
 
 def reynolds_lie(f: LieElement) -> LieElement:
     """Average over the full symmetric group; projects onto the invariants."""
-    return group_average(f, apply_perm_lie, f.n, LieElement.zero(f.n))
+    return group_average(f, apply_perm_lie, f.n)
 
 
 def solve_weighted_kernel(c):
@@ -329,6 +329,35 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     if check != embed(fc):
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result
+
+
+def _partitions_bounded(n: int, m: int) -> int:
+    """p_n(m): the number of partitions of m into parts of size at most n."""
+    counts = [1] + [0] * m
+    for part in range(1, n + 1):
+        for total in range(part, m + 1):
+            counts[total] += counts[total - part]
+    return counts[m]
+
+
+def hilbert_function(n: int, d: int) -> int:
+    """The dimension of the degree-d invariants, len(invariant_space_basis(n, d)).
+
+    A closed form, so it costs nothing next to building the basis: 0 for
+    d < 1, 1 for d = 1, and for d >= 2 one basis element per e-monomial e^a
+    of weighted degree d and per index of its support but the first, which
+    is sum_{j <= min(n, d)} p_n(d - j) - p_n(d) with p_n(m) the number of
+    partitions of m into parts of size at most n.
+    """
+    if n < 1:
+        raise RankError(f"rank must be positive, got {n}")
+    if d < 1:
+        return 0
+    if d == 1:
+        return 1
+    return sum(
+        _partitions_bounded(n, d - j) for j in range(1, min(n, d) + 1)
+    ) - _partitions_bounded(n, d)
 
 
 def invariant_space_basis(n: int, d: int):

@@ -18,6 +18,11 @@ split: only its smallest factor can fall below the second entry, and after the
 split that factor is the new minimum, so every other factor joins the sorted
 tail.  Evaluating an expression tree bottom-up therefore ends in the canonical
 form.
+
+A permutation of the variables only moves basis commutators and flips signs,
+so ``apply_perm_lie`` never multiplies coefficients and keeps their type; the
+S_n average runs it on an integer-coefficient copy and divides once at the
+end.
 """
 
 from __future__ import annotations
@@ -153,6 +158,17 @@ class LieElement:
     def linear_is_zero(self) -> bool:
         return all(v == 0 for v in self.linear)
 
+    # the coefficient map that group_average averages
+
+    def _items(self):
+        """Nonzero linear coefficients keyed by 0-based index, then the commutators."""
+        return [*((k, v) for k, v in enumerate(self.linear) if v), *self.comm.items()]
+
+    def _rebuild(self, coeffs) -> "LieElement":
+        """An element of this rank from a clean map in the form of ``_items``."""
+        linear = tuple(coeffs.pop(k, _ZERO) for k in range(self.n))
+        return LieElement._wrap(self.n, linear, coeffs)
+
     def commutator_part(self) -> "LieElement":
         return LieElement(self.n, None, self.comm)
 
@@ -271,21 +287,28 @@ def ad_action(f: LieElement, p: Polynomial) -> LieElement:
 
 
 def apply_perm_lie(sigma, f: LieElement) -> LieElement:
-    """The algebra automorphism induced by x_i -> x_{sigma(i)}, renormalized."""
+    """The algebra automorphism induced by x_i -> x_{sigma(i)}, renormalized.
+
+    Coefficients are only moved and negated, never multiplied, so they keep
+    their type: ``group_average`` runs this on an integer-coefficient copy.
+    """
     if sigma.size != f.n:
         raise DimensionError(f"permutation degree {sigma.size}, rank {f.n}")
-    n = f.n
-    linear = [_ZERO] * n
+    img = sigma.images
+    linear = [_ZERO] * f.n
     for idx, coeff in enumerate(f.linear):
-        linear[sigma(idx + 1) - 1] = coeff
+        linear[img[idx] - 1] = coeff
     acc = {}
     for c, gamma in f.comm.items():
-        a, b = sigma(c.i1), sigma(c.i2)
+        a, b = img[c.i1 - 1], img[c.i2 - 1]
         if a < b:
             a, b, gamma = b, a, -gamma
-        factors = tuple(sorted(sigma(t) for t in c.tail))
-        add_terms(acc, ((c2, gamma * sign) for c2, sign in _ad(BasisCommutator(a, b), factors)))
-    return LieElement(n, linear, acc)
+        factors = tuple(sorted(img[t - 1] for t in c.tail))
+        add_terms(
+            acc,
+            ((c2, gamma if sign > 0 else -gamma) for c2, sign in _ad(BasisCommutator(a, b), factors)),
+        )
+    return LieElement._wrap(f.n, tuple(linear), acc)
 
 
 def grade(f: LieElement, d: int) -> LieElement:

@@ -2,6 +2,9 @@
 
 ``moving_generator`` and ``group_average`` are the one S_n invariance test and
 the one S_n average; polynomials and Lie elements pass in their own action.
+The average is fraction-free: the element is scaled once to integer
+coefficients, its n! images are summed as Python ints into one map, and each
+sum is divided once at the end.
 """
 
 from __future__ import annotations
@@ -9,11 +12,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import permutations as _all_tuples
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ParseError, RankError, ResourceGuardError
 
-# Full enumeration is used for Reynolds averaging; 8! = 40320 keeps it fast.
+# Full enumeration is used for Reynolds averaging.  At n = 8 its 40320
+# permutations take about 1 s for a 3-term degree-6 input (Python 3.11 on one
+# core of a 2-CPU Xeon VM), and every further n multiplies that by n.
 ENUMERATION_CAP = 8
 
 
@@ -129,14 +134,24 @@ def moving_generator(x, act, n: int):
     return next((sigma for sigma in sn_generators(n) if act(sigma, x) != x), None)
 
 
-def group_average(x, act, n: int, zero):
-    """The average of ``act(sigma, x)`` over all of S_n; x itself when n = 1."""
-    if n == 1:
-        return x
-    total = zero
+def group_average(x, act, n: int):
+    """The average of ``act(sigma, x)`` over all of S_n, as a new element.
+
+    x lists its coefficients as (key, Fraction) pairs in ``x._items()`` and
+    builds an element of its kind from such a map with ``x._rebuild``; the
+    action must only move and negate coefficients, so that it maps an
+    integer-coefficient copy of x to integer coefficients.  That copy is x
+    times the lcm L of its denominators, and each summed coefficient is
+    divided once by L * n!.
+    """
+    scale = lcm(*(c.denominator for _, c in x._items()))
+    integral = x._rebuild({k: c.numerator * (scale // c.denominator) for k, c in x._items()})
+    acc = {}
     for sigma in enumerate_sn(n):
-        total = total + act(sigma, x)
-    return total * Fraction(1, factorial(n))
+        for key, v in act(sigma, integral)._items():
+            acc[key] = acc.get(key, 0) + v
+    den = scale * factorial(n)
+    return x._rebuild({k: Fraction(v, den) for k, v in acc.items() if v})
 
 
 _CYCLE_TOKEN = re.compile(r"\s*(\(|\)|\d+|,)")

@@ -5,6 +5,11 @@ to nonzero Fraction coefficients, so every identity in the library is checked
 exactly.  The monomial order used for canonical printing and for the
 elementary-symmetric reduction is graded lexicographic with x1 > x2 > ... > xn.
 
+Products are fraction-free: each factor is brought over the lcm of its
+denominators once, the integer numerators are multiplied and accumulated as
+Python ints, and each output coefficient becomes a Fraction once, by one
+division by the product of the two lcms.
+
 Besides ring arithmetic this module provides the elementary symmetric
 polynomials, the symmetry test on the two standard generators of S_n, the
 group-averaging projector, and the rewriting of a symmetric polynomial as a
@@ -17,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
+from operator import add
 from types import MappingProxyType
 
 from .errors import (
@@ -51,15 +58,22 @@ def add_terms(acc, pairs):
     """Add (key, coefficient) pairs into ``acc`` in place and return it.
 
     A key whose coefficients sum to zero is dropped, so ``acc`` stays a
-    sparse map with nonzero values only.
+    sparse map with nonzero values only.  Sums start from the int 0, so they
+    keep the type of the coefficients given.
     """
     for key, coeff in pairs:
-        val = acc.get(key, _ZERO) + coeff
+        val = acc.get(key, 0) + coeff
         if val:
             acc[key] = val
         else:
             acc.pop(key, None)
     return acc
+
+
+def _numerators(terms):
+    """The (exponents, int numerator) pairs of ``terms`` over their lcm denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
 
 
 def read_only(value):
@@ -206,12 +220,19 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
-            products = (
-                (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-                for m1, c1 in self.terms.items()
-                for m2, c2 in other.terms.items()
-            )
-            return type(self)._wrap(self.nvars, add_terms({}, products))
+            left, d1 = _numerators(self.terms)
+            right, d2 = _numerators(other.terms)
+            acc = {}
+            for m1, a in left:
+                for m2, b in right:
+                    key = tuple(map(add, m1, m2))
+                    acc[key] = acc.get(key, 0) + a * b
+            den = d1 * d2
+            for m in [m for m, v in acc.items() if not v]:
+                del acc[m]
+            for m, v in acc.items():
+                acc[m] = Fraction(v, den)
+            return type(self)._wrap(self.nvars, acc)
         coeff = as_fraction(other)
         if coeff == 0:
             return type(self).zero(self.nvars)
@@ -241,6 +262,15 @@ class Polynomial:
         )
 
     __hash__ = None
+
+    # the coefficient map that group_average averages
+
+    def _items(self):
+        return self.terms.items()
+
+    def _rebuild(self, coeffs) -> "Polynomial":
+        """A polynomial in this ring from a clean map in the form of ``_items``."""
+        return Polynomial._wrap(self.nvars, coeffs)
 
     # structural operations
 
@@ -334,7 +364,7 @@ def is_symmetric(p: Polynomial) -> bool:
 
 def reynolds_poly(p: Polynomial) -> Polynomial:
     """Average p over the full symmetric group; the projector onto symmetrics."""
-    return group_average(p, _permute, p.nvars, Polynomial.zero(p.nvars))
+    return group_average(p, _permute, p.nvars)
 
 
 def expand_e_monomial(n: int, exponents) -> Polynomial:

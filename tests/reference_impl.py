@@ -1,7 +1,11 @@
 """The original slow paths, kept verbatim as references for the fast ones.
 
 ``_ad_monomial`` acts by a monomial one ad-factor at a time through
-``_ad_one``, rebuilding a dict per factor; ``preimage`` clears the graded-lex
+``_ad_one``, rebuilding a dict per factor; ``polynomial_product`` multiplies
+two polynomials on Fraction coefficients; ``group_average`` sums the n!
+images with a fresh copy of the running total per permutation and returns x
+itself when n = 1, and ``apply_perm_lie`` multiplies every coefficient by its
+sign; ``preimage`` clears the graded-lex
 largest content class one at a time with a full rescan per class;
 ``solve_exact`` / ``nullspace`` run classical Gauss-Jordan elimination on
 Fraction entries; ``invariant_space_basis`` lists every degree-d basis
@@ -11,18 +15,24 @@ every column eps_j * e^b as wreath coordinates and solves for the embedded
 component with ``linalg.solve_exact``.  Both ``linalg`` functions are looked
 up at call time so that a test can swap in the Fraction versions above.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
-single-pass preimage, fraction-free integer elimination, constructive
-invariant basis and structured decomposition to return exactly what these
-return.
+fraction-free products and S_n average, single-pass preimage, fraction-free
+integer elimination, constructive invariant basis and structured
+decomposition to return exactly what these return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 from metabelian import linalg
-from metabelian.errors import InternalConsistencyError, InvarianceError, MembershipError
+from metabelian.errors import (
+    DimensionError,
+    InternalConsistencyError,
+    InvarianceError,
+    MembershipError,
+)
 from metabelian.invariants import (
     InvariantDecomposition,
     epsilon,
@@ -31,8 +41,8 @@ from metabelian.invariants import (
     solve_weighted_kernel,
     weighted_exponent_vectors,
 )
-from metabelian.lie import BasisCommutator, LieElement, apply_perm_lie, grade
-from metabelian.permutations import sn_generators
+from metabelian.lie import BasisCommutator, LieElement, _ad, grade
+from metabelian.permutations import enumerate_sn, sn_generators
 from metabelian.polynomials import (
     EDecomposition,
     Polynomial,
@@ -82,6 +92,45 @@ def _ad_monomial(c: BasisCommutator, exponents):
                         nxt[c2] = val
             current = nxt
     return current
+
+
+def polynomial_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q with every coefficient product and sum taken on Fraction."""
+    p._require_same_ring(q)
+    products = (
+        (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()
+    )
+    return type(p)._wrap(p.nvars, add_terms({}, products))
+
+
+def group_average(x, act, n: int, zero):
+    """The average of ``act(sigma, x)`` over all of S_n; x itself when n = 1."""
+    if n == 1:
+        return x
+    total = zero
+    for sigma in enumerate_sn(n):
+        total = total + act(sigma, x)
+    return total * Fraction(1, factorial(n))
+
+
+def apply_perm_lie(sigma, f: LieElement) -> LieElement:
+    """The algebra automorphism induced by x_i -> x_{sigma(i)}, renormalized."""
+    if sigma.size != f.n:
+        raise DimensionError(f"permutation degree {sigma.size}, rank {f.n}")
+    n = f.n
+    linear = [_ZERO] * n
+    for idx, coeff in enumerate(f.linear):
+        linear[sigma(idx + 1) - 1] = coeff
+    acc = {}
+    for c, gamma in f.comm.items():
+        a, b = sigma(c.i1), sigma(c.i2)
+        if a < b:
+            a, b, gamma = b, a, -gamma
+        factors = tuple(sorted(sigma(t) for t in c.tail))
+        add_terms(acc, ((c2, gamma * sign) for c2, sign in _ad(BasisCommutator(a, b), factors)))
+    return LieElement(n, linear, acc)
 
 
 def _rref(rows, ncols):

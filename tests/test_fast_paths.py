@@ -1,9 +1,10 @@
-"""The closed-form ad-action, the single-pass preimage, the fraction-free
-elimination, the constructive invariant basis and the structured
-decomposition must return exactly what the original slow paths in
-reference_impl.py return."""
+"""The closed-form ad-action, the fraction-free products and S_n average,
+the single-pass preimage, the fraction-free elimination, the constructive
+invariant basis and the structured decomposition must return exactly what
+the original slow paths in reference_impl.py return."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,14 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from helpers import random_fraction, random_lie_element, random_polynomial
+from helpers import (
+    random_fraction,
+    random_homogeneous_commutator,
+    random_lie_element,
+    random_polynomial,
+)
 from metabelian import (
     BasisCommutator,
+    EDecomposition,
+    LieElement,
     MembershipError,
+    Permutation,
     Polynomial,
     WreathElement,
     ad_action,
+    apply_perm_lie,
     decompose_invariant,
+    elementary_symmetric,
     embed,
     expand_e_monomial,
     generator_h,
@@ -28,6 +39,7 @@ from metabelian import (
     membership_residual,
     preimage,
     reynolds_lie,
+    reynolds_poly,
     sum_of_variables,
 )
 from metabelian import linalg
@@ -54,6 +66,134 @@ def commutators_and_monomials(draw):
 def test_closed_form_ad_matches_the_unit_by_unit_reference(case):
     c, exponents = case
     assert dict(_ad(c, _factors(exponents))) == ref._ad_monomial(c, exponents)
+
+
+# numerators and denominators up to 8 give factors with mixed denominators
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8))
+
+
+@st.composite
+def polynomial_factors(draw):
+    """Two factors over one ring of rank 1..4, both Polynomial or both
+    EDecomposition: random, A + B and A - B (the cross terms cancel), or
+    one factor zero or constant, in either order."""
+    n = draw(st.integers(1, 4))
+    cls = draw(st.sampled_from([Polynomial, EDecomposition]))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), rationals, max_size=5)
+    p = cls(n, draw(terms))
+    kind = draw(st.sampled_from(["random", "cancel", "zero", "constant"]))
+    if kind == "random":
+        q = cls(n, draw(terms))
+    elif kind == "cancel":
+        b = cls(n, draw(terms))
+        p, q = p + b, p - b
+    elif kind == "zero":
+        q = cls.zero(n)
+    else:
+        q = cls.constant(n, draw(rationals))
+    return draw(st.permutations([p, q]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_factors())
+def test_fraction_free_product_matches_the_reference(factors):
+    p, q = factors
+    out = p * q
+    assert out == ref.polynomial_product(p, q)
+    assert type(out) is type(p)
+    assert all(type(c) is Fraction for c in out.terms.values())
+
+
+def rational_lie_element(rng, n):
+    """Nonzero linear coefficients with denominators up to 5 and, for
+    n >= 2, up to three commutators of degree 2..4 with denominators up to 4."""
+    linear = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5)) for _ in range(n)]
+    comm = random_lie_element(rng, n, 4, comm_terms=3, with_linear=False).comm if n > 1 else {}
+    return LieElement(n, linear, comm)
+
+
+def fraction_coefficients(x):
+    if isinstance(x, LieElement):
+        return [*x.linear, *x.comm.values()]
+    return list(x.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 5))
+def test_integer_reynolds_matches_the_reference_average(seed, n):
+    rng = random.Random(seed)
+    f = rational_lie_element(rng, n)
+    p = random_polynomial(rng, n, max_degree=4)
+    f_copy, p_copy = LieElement(n, f.linear, f.comm), Polynomial(n, p.terms)
+    rf, rp = reynolds_lie(f), reynolds_poly(p)
+    assert rf == ref.group_average(f, ref.apply_perm_lie, n, LieElement.zero(n))
+    assert rp == ref.group_average(p, lambda sigma, x: x.apply_perm(sigma), n, Polynomial.zero(n))
+    assert (f, p) == (f_copy, p_copy)
+    assert all(type(c) is Fraction for c in fraction_coefficients(rf) + fraction_coefficients(rp))
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: generator_h_lie(4, 1, 3),
+        lambda: generator_h_lie(3, 1, 2),
+        lambda: elementary_symmetric(4, 2),
+        lambda: expand_e_monomial(3, (1, 0, 1)),
+    ],
+)
+def test_integer_reynolds_leaves_cached_inputs_alone(cached):
+    x = cached()
+    average = reynolds_lie if isinstance(x, LieElement) else reynolds_poly
+    before = x.to_text()
+    out = average(x)
+    assert out == x
+    assert x.to_text() == before == cached().to_text()
+    assert all(type(c) is Fraction for c in fraction_coefficients(out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 6))
+def test_apply_perm_lie_matches_the_reference(seed, n):
+    rng = random.Random(seed)
+    f = rational_lie_element(rng, n)
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    sigma = Permutation(images)
+    out = apply_perm_lie(sigma, f)
+    assert out == ref.apply_perm_lie(sigma, f)
+    assert all(type(c) is Fraction for c in fraction_coefficients(out))
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def test_reynolds_lie_does_no_fraction_arithmetic_per_permutation(monkeypatch):
+    """At n = 5 the average adds and multiplies Fractions at most once per
+    input and output coefficient (plus n), not once per permutation and
+    term; the reference enumeration, counted by the same wrappers, does."""
+    n = 5
+    f = rational_lie_element(random.Random(5), n)
+    f = f + random_homogeneous_commutator(random.Random(6), n, 4, comm_terms=3) * Fraction(2, 7)
+    counts = Counter()
+
+    def counting(name, orig):
+        def counted(a, b):
+            counts[name] += 1
+            return orig(a, b)
+
+        return counted
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    out = reynolds_lie(f)
+    fast = sum(counts.values())
+    counts.clear()
+    slow_out = ref.group_average(f, ref.apply_perm_lie, n, LieElement.zero(n))
+    slow = sum(counts.values())
+    monkeypatch.undo()
+    bound = (n + len(f.comm)) + (n + len(out.comm)) + n
+    assert out == slow_out
+    assert fast <= bound < slow
 
 
 @settings(max_examples=80, deadline=None)

@@ -25,6 +25,7 @@ from metabelian import (
     expand_e_monomial,
     generator_h,
     generator_h_lie,
+    hilbert_function,
     in_commutator_image,
     invariant_space_basis,
     is_invariant_lie,
@@ -184,6 +185,14 @@ def test_reynolds_lie_examples():
     assert reynolds_lie(LieElement.from_commutator(2, BasisCommutator(2, 1))).is_zero()
 
 
+def test_reynolds_lie_at_rank_one_returns_a_new_element():
+    f = LieElement(1, (Fraction(2, 3),))
+    r = reynolds_lie(f)
+    assert r == f and r is not f
+    r.comm[BasisCommutator(2, 1)] = Fraction(1)
+    assert f == LieElement(1, (Fraction(2, 3),))
+
+
 def test_reynolds_lie_projector():
     rng = random.Random(51)
     for _ in range(15):
@@ -316,28 +325,24 @@ def test_invariant_basis_small_cases():
         assert invariant_space_basis(1, d) == []
 
 
-def partitions_bounded(n, m):
-    """p_n(m): the number of partitions of m into parts of size at most n."""
-    counts = [1] + [0] * m
-    for part in range(1, n + 1):
-        for total in range(part, m + 1):
-            counts[total] += counts[total - part]
-    return counts[m]
-
-
-def hilbert_function(n, d):
-    """dim of the degree-d invariants: sum_{j<=min(n,d)} p_n(d-j) - p_n(d), 1 at d = 1."""
-    if d == 1:
-        return 1
-    return sum(
-        partitions_bounded(n, d - j) for j in range(1, min(n, d) + 1)
-    ) - partitions_bounded(n, d)
-
-
-@pytest.mark.parametrize("n, dmax", [(2, 7), (3, 6), (4, 5), (5, 6), (6, 6), (7, 5)])
+@pytest.mark.parametrize(
+    "n, dmax", [(1, 5), (2, 7), (3, 6), (4, 5), (5, 6), (6, 6), (7, 5)]
+)
 def test_invariant_basis_dimension_matches_closed_form(n, dmax):
-    for d in range(1, dmax + 1):
+    for d in range(0, dmax + 1):
         assert len(invariant_space_basis(n, d)) == hilbert_function(n, d)
+
+
+def test_hilbert_function_values():
+    assert [hilbert_function(4, d) for d in range(1, 7)] == [1, 0, 1, 2, 5, 7]
+    assert [hilbert_function(1, d) for d in range(-1, 4)] == [0, 0, 1, 0, 0]
+    # one basis element per e-monomial and per index of its support but the first
+    for n, d in ((8, 10), (7, 9), (3, 12)):
+        assert hilbert_function(n, d) == sum(
+            sum(1 for v in a if v) - 1 for a in weighted_exponent_vectors(n, d)
+        )
+    with pytest.raises(RankError):
+        hilbert_function(0, 3)
 
 
 def test_invariant_basis_elements_decompose():

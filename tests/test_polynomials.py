@@ -126,6 +126,14 @@ def test_reynolds_examples():
     assert reynolds_poly(p) == Fraction(1, 2) * (p + x(2, 1) * x(2, 2) ** 2)
 
 
+def test_reynolds_at_rank_one_returns_a_new_polynomial():
+    p = Polynomial(1, {(2,): 3})
+    r = reynolds_poly(p)
+    assert r == p and r is not p
+    r.terms[(5,)] = Fraction(1)
+    assert p == Polynomial(1, {(2,): 3})
+
+
 def test_reynolds_idempotent_and_symmetric():
     rng = random.Random(2024)
     from helpers import random_polynomial
