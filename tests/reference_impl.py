@@ -5,19 +5,20 @@
 two polynomials on Fraction coefficients; ``group_average`` sums the n!
 images with a fresh copy of the running total per permutation and returns x
 itself when n = 1, and ``apply_perm_lie`` multiplies every coefficient by its
-sign; ``preimage`` clears the graded-lex
-largest content class one at a time with a full rescan per class;
-``solve_exact`` / ``nullspace`` run classical Gauss-Jordan elimination on
-Fraction entries; ``invariant_space_basis`` lists every degree-d basis
-commutator and takes the kernel of sigma - 1 over the two generators of S_n
-with ``linalg.nullspace``; and ``decompose_invariant`` builds, per degree,
-every column eps_j * e^b as wreath coordinates and solves for the embedded
-component with ``linalg.solve_exact``.  Both ``linalg`` functions are looked
-up at call time so that a test can swap in the Fraction versions above.
+sign; ``generator_h`` adds two whole module products as wreath elements;
+``preimage`` clears the graded-lex largest content class one at a time with
+a full rescan per class; ``solve_exact`` / ``nullspace`` run classical
+Gauss-Jordan elimination on Fraction entries; ``invariant_space_basis``
+lists every degree-d basis commutator and takes the kernel of sigma - 1 over
+the two generators of S_n with ``linalg.nullspace``; and
+``decompose_invariant`` builds, per degree, every column eps_j * e^b as
+wreath coordinates and solves for the embedded component with
+``linalg.solve_exact``.  Both ``linalg`` functions are looked up at call
+time so that a test can swap in the Fraction versions above.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
-fraction-free products and S_n average, single-pass preimage, fraction-free
-integer elimination, constructive invariant basis and structured
-decomposition to return exactly what these return.
+fraction-free products, sums of products and S_n average, single-pass
+preimage, fraction-free integer elimination, constructive invariant basis
+and structured decomposition to return exactly what these return.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from metabelian.errors import (
 from metabelian.invariants import (
     InvariantDecomposition,
     epsilon,
-    generator_h,
+    generator_h as library_generator_h,
     invariance_violation,
     solve_weighted_kernel,
     weighted_exponent_vectors,
@@ -47,6 +48,7 @@ from metabelian.polynomials import (
     EDecomposition,
     Polynomial,
     add_terms,
+    elementary_symmetric,
     expand_e_monomial,
     grlex_key,
 )
@@ -103,6 +105,14 @@ def polynomial_product(p: Polynomial, q: Polynomial) -> Polynomial:
         for m2, c2 in q.terms.items()
     )
     return type(p)._wrap(p.nvars, add_terms({}, products))
+
+
+def generator_h(n: int, i: int, j: int) -> WreathElement:
+    """The invariant module generator j*eps_i*e_j - i*eps_j*e_i."""
+    return (
+        epsilon(n, i).module_mul(elementary_symmetric(n, j)) * j
+        - epsilon(n, j).module_mul(elementary_symmetric(n, i)) * i
+    )
 
 
 def group_average(x, act, n: int, zero):
@@ -422,7 +432,7 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     )
     check = WreathElement.zero(n)
     for i, j, q in result.items():
-        check = check + generator_h(n, i, j).module_mul(q.expand())
+        check = check + library_generator_h(n, i, j).module_mul(q.expand())
     if check != embed(fc):
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result

@@ -1,7 +1,8 @@
-"""The closed-form ad-action, the fraction-free products and S_n average,
-the single-pass preimage, the fraction-free elimination, the constructive
-invariant basis and the structured decomposition must return exactly what
-the original slow paths in reference_impl.py return."""
+"""The closed-form ad-action, the fraction-free products, sums of products
+and S_n average, the single-pass preimage, the fraction-free elimination,
+the constructive invariant basis and the structured decomposition must
+return exactly what the original slow paths in reference_impl.py return,
+and every commutator built unchecked must pass the validating constructor."""
 
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
@@ -46,6 +47,7 @@ from metabelian import linalg
 from metabelian.invariants import weighted_exponent_vectors
 from metabelian.lie import _ad, _factors
 from metabelian.linalg import nullspace, solve_exact
+from metabelian.polynomials import sum_of_products
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -102,6 +104,43 @@ def test_fraction_free_product_matches_the_reference(factors):
     assert out == ref.polynomial_product(p, q)
     assert type(out) is type(p)
     assert all(type(c) is Fraction for c in out.terms.values())
+
+
+@st.composite
+def product_sums(draw):
+    """(n, pairs) over a ring of rank 1..4: up to four random pairs with
+    mixed denominators, possibly none, each possibly followed by its
+    negation so that the two cancel to zero."""
+    n = draw(st.integers(1, 4))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), rationals, max_size=5)
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        p, q = Polynomial(n, draw(terms)), Polynomial(n, draw(terms))
+        pairs.append((p, q))
+        if draw(st.booleans()):
+            pairs.append((p, -q))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_sums())
+@example((3, []))
+def test_sum_of_products_matches_the_reference_products(case):
+    n, pairs = case
+    out = sum_of_products(n, pairs)
+    total = Polynomial.zero(n)
+    for p, q in pairs:
+        total = total + ref.polynomial_product(p, q)
+    assert out == total
+    assert all(type(c) is Fraction for c in out.terms.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_generator_h_matches_the_reference_formula(n):
+    for i, j in combinations(range(1, n + 1), 2):
+        h = generator_h(n, i, j)
+        assert h == ref.generator_h(n, i, j)
+        assert all(type(c) is Fraction for p in h.upart for c in p.terms.values())
 
 
 def rational_lie_element(rng, n):
@@ -162,6 +201,24 @@ def test_apply_perm_lie_matches_the_reference(seed, n):
     out = apply_perm_lie(sigma, f)
     assert out == ref.apply_perm_lie(sigma, f)
     assert all(type(c) is Fraction for c in fraction_coefficients(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(commutators_and_monomials(), seeds)
+def test_unchecked_keys_pass_the_validating_constructor(case, seed):
+    """_ad and apply_perm_lie build their keys without validation; every one
+    must be a basis commutator that the public constructor rebuilds."""
+    c, exponents = case
+    n = len(exponents)
+    rng = random.Random(seed)
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    f = random_lie_element(rng, n, 6, comm_terms=4)
+    keys = [c2 for c2, _ in _ad(c, _factors(exponents))]
+    keys += apply_perm_lie(Permutation(images), f).comm
+    for key in keys:
+        assert type(key) is BasisCommutator
+        assert BasisCommutator(key.i1, key.i2, key.tail) == key
 
 
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")

@@ -323,6 +323,9 @@ def test_invariant_basis_small_cases():
     assert invariant_space_basis(1, 1) == [sum_of_variables(1)]
     for d in range(2, 6):
         assert invariant_space_basis(1, d) == []
+    for d in range(0, 4):
+        with pytest.raises(RankError):
+            invariant_space_basis(0, d)
 
 
 @pytest.mark.parametrize(

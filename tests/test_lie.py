@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -215,6 +217,40 @@ def test_basis_commutator_validation():
     c = BasisCommutator(3, 1, (2, 1))
     assert c.tail == (1, 2)
     assert c.degree == 4
+
+
+@pytest.mark.parametrize(
+    "indices", [(2.0, 1.0, (1.5,)), (3, 1, (2.0,)), ("3", "1", ()), (2, True, ())]
+)
+def test_basis_commutator_rejects_non_int_indices(indices):
+    with pytest.raises(DomainError):
+        BasisCommutator(*indices)
+
+
+def test_basis_commutator_is_immutable_while_it_is_a_key():
+    c = BasisCommutator(3, 1, (2,))
+    f = LieElement.from_commutator(3, c)
+    for attr in ("i1", "i2", "tail"):
+        with pytest.raises(AttributeError):
+            setattr(c, attr, 9)
+    assert f.comm[BasisCommutator(3, 1, (2,))] == 1
+    assert c.indices() == (3, 1, 2)
+    for copied in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(copied) is BasisCommutator and copied == c
+
+
+def test_lie_element_rejects_plain_tuple_keys():
+    assert BasisCommutator(2, 1) == (2, 1, ())
+    with pytest.raises(DomainError):
+        LieElement(2, None, {(2, 1, ()): 1})
+
+
+def test_basis_commutator_hashes_and_compares_in_c():
+    """A Python-level __hash__ or __eq__ would put a function call back on
+    every dict operation of the S_n average."""
+    assert BasisCommutator.__hash__ is tuple.__hash__
+    assert BasisCommutator.__eq__ is tuple.__eq__
+    assert hash(BasisCommutator(3, 1, (1, 2))) == hash((3, 1, (1, 2)))
 
 
 def test_to_text_round_trip():

@@ -18,6 +18,12 @@ def test_generators_small():
         sn_generators(1)
 
 
+@pytest.mark.parametrize("images", [[2.7, 1.2], ["2", "1"], [2.0, 1.0], [True, 2]])
+def test_permutation_rejects_non_int_images(images):
+    with pytest.raises(RankError):
+        Permutation(images)
+
+
 def test_transposition_is_involution():
     t = Permutation.transposition(4, 1, 2)
     assert (t * t).is_identity()
