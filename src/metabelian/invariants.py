@@ -20,13 +20,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
+    DimensionError,
     DomainError,
     InternalConsistencyError,
     InvarianceError,
     KernelError,
     RankError,
 )
-from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, grade
+from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, grade, sum_of_actions
 from .linalg import _integer_rows, _reduce
 from .permutations import group_average, moving_generator
 from .polynomials import (
@@ -53,9 +54,17 @@ def sum_of_variables(n: int) -> LieElement:
     return LieElement(n, (_ONE,) * n)
 
 
-@lru_cache(maxsize=None)
+def _require_ints(*values):
+    """Raise RankError unless the rank and indices are all ints."""
+    if any(type(v) is not int for v in values):
+        raise RankError(f"rank and indices must be ints, got {values}")
+
+
+# typed caches, so that a float equal to a cached int reaches the check
+@lru_cache(maxsize=None, typed=True)
 def epsilon(n: int, j: int) -> WreathElement:
     """The u-linear generator sum_i u_i * e_{j-1}(variables other than x_i)."""
+    _require_ints(n, j)
     if not 1 <= j <= n:
         raise RankError(f"index {j} outside 1..{n}")
     upart = []
@@ -101,9 +110,10 @@ def _module_sum(n: int, pairs) -> WreathElement:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generator_h(n: int, i: int, j: int) -> WreathElement:
     """The invariant module generator j*eps_i*e_j - i*eps_j*e_i."""
+    _require_ints(n, i, j)
     if not 1 <= i < j <= n:
         raise RankError(f"need 1 <= i < j <= n, got ({i}, {j}) with n = {n}")
     return read_only(
@@ -117,7 +127,7 @@ def generator_h(n: int, i: int, j: int) -> WreathElement:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generator_h_lie(n: int, i: int, j: int) -> LieElement:
     """generator_h pulled back to canonical Lie basis form."""
     return read_only(preimage(generator_h(n, i, j)))
@@ -162,6 +172,7 @@ def solve_weighted_kernel(c):
 
 def verify_module_relation(n: int, i: int, j: int, k: int) -> bool:
     """Check k*h_ij*e_k - j*h_ik*e_j + i*h_jk*e_i = 0 in the wreath product."""
+    _require_ints(n, i, j, k)
     if not 1 <= i < j < k <= n:
         raise RankError(f"need 1 <= i < j < k <= n, got ({i}, {j}, {k}) with n = {n}")
     combo = _module_sum(
@@ -183,12 +194,20 @@ class InvariantDecomposition:
     __slots__ = ("n", "f1_coeff", "parts")
 
     def __init__(self, n: int, f1_coeff, parts):
+        _require_ints(n)
+        if n < 1:
+            raise RankError(f"rank must be positive, got {n}")
         self.n = n
         self.f1_coeff = as_fraction(f1_coeff)
         clean = {}
         for (i, j), q in parts.items():
+            _require_ints(i, j)
             if not 1 <= i < j <= n:
                 raise RankError(f"bad generator pair ({i}, {j}) for rank {n}")
+            if not isinstance(q, EDecomposition):
+                raise DomainError(f"part ({i}, {j}) is not an EDecomposition")
+            if q.n != n:
+                raise DimensionError(f"part ({i}, {j}) has rank {q.n}, expected {n}")
             if not q.is_zero():
                 clean[(i, j)] = q
         self.parts = clean
@@ -199,10 +218,9 @@ class InvariantDecomposition:
 
     def reconstruct(self) -> LieElement:
         """Evaluate the certificate back to a canonical Lie element."""
-        total = sum_of_variables(self.n) * self.f1_coeff
-        for i, j, q in self.items():
-            total = total + ad_action(generator_h_lie(self.n, i, j), q.expand())
-        return total
+        n = self.n
+        pairs = [(generator_h_lie(n, i, j).comm, q.expand()) for i, j, q in self.items()]
+        return LieElement._wrap(n, (self.f1_coeff,) * n, sum_of_actions(n, pairs).comm)
 
     def verify(self, f: LieElement) -> bool:
         return self.reconstruct() == f

@@ -12,12 +12,12 @@ basis commutators to rational coefficients, so equality is literal.
 
 Rewriting into the basis uses four rules: bilinearity, antisymmetry, the
 vanishing of brackets between two commutators, and the length-3 Jacobi
-rearrangement [a, b, c] = [a, c, b] - [b, c, a], applied when an ad-factor is
-smaller than the second entry.  Acting by a monomial needs at most one such
-split: only its smallest factor can fall below the second entry, and after the
-split that factor is the new minimum, so every other factor joins the sorted
-tail.  Evaluating an expression tree bottom-up therefore ends in the canonical
-form.
+rearrangement [a, b, c] = [a, c, b] - [b, c, a], which ``_ad`` applies at most
+once per monomial.  ``sum_of_actions``, the twin of ``sum_of_products``, is
+the one loop that acts on basis commutators by polynomials and adds up, on
+integer numerators over one common denominator: ``ad_action``, the mixed part
+of ``bracket``, the wreath ``preimage`` and the reassembly of an invariant
+decomposition run on it.
 
 A permutation of the variables only moves basis commutators and flips signs,
 so ``apply_perm_lie`` never multiplies coefficients and keeps their type; the
@@ -34,10 +34,11 @@ with ``tuple.__new__``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .errors import DimensionError, DomainError, RankError
-from .polynomials import Polynomial, add_terms, as_fraction, signed_text, unit_vector
+from .polynomials import Polynomial, _denominator, add_terms, as_fraction, signed_text, unit_vector
 
 _ZERO = Fraction(0)
 
@@ -250,58 +251,64 @@ class LieElement:
         return self.to_text()
 
 
+def sum_of_actions(n: int, pairs) -> LieElement:
+    """sum_k c_k * p_k(ad x_1, ..., ad x_n) over the (c_k, p_k) in ``pairs``.
+
+    c_k maps basis commutators on x_1..x_n to int or Fraction coefficients
+    and p_k is a polynomial in n variables.  As in ``sum_of_products``, the
+    common denominator D is taken first, the integer numerator products are
+    acted on through ``_ad`` and summed as ints per basis commutator, and
+    each nonzero sum v becomes one Fraction(v, D).  Empty ``pairs`` give 0.
+    """
+    pairs = [(c, p, _denominator(c), _denominator(p.terms)) for c, p in pairs]
+    for _, p, _, _ in pairs:
+        if p.nvars != n:
+            raise DimensionError(f"polynomial over {p.nvars} variables, rank is {n}")
+    den = lcm(*(dc * dp for _, _, dc, dp in pairs))
+    acc = {}
+    for comm, p, dc, dp in pairs:
+        scale = den // (dc * dp)
+        monomials = [(_factors(m), b.numerator * (dp // b.denominator) * scale)
+                     for m, b in p.terms.items()]
+        for c, gamma in comm.items():
+            a = gamma.numerator * (dc // gamma.denominator)
+            for factors, b in monomials:
+                for c2, sign in _ad(c, factors):
+                    acc[c2] = acc.get(c2, 0) + sign * a * b
+    return LieElement._wrap(n, (_ZERO,) * n, {c: Fraction(v, den) for c, v in acc.items() if v})
+
+
 def bracket(f: LieElement, g: LieElement) -> LieElement:
     """The Lie bracket [f, g], returned in canonical basis form.
 
     Brackets between two commutator-ideal elements vanish (the algebra is
-    metabelian); the remaining pieces reduce to pair brackets of variables
-    and single ad-factor applications.
+    metabelian); a commutator part times the other side's linear part is the
+    ad-action of that linear polynomial, and two linear parts give pair
+    brackets of variables.
     """
     if f.n != g.n:
         raise DimensionError(f"ranks {f.n} and {g.n} differ")
-
-    def terms():
-        for i, a in enumerate(f.linear, 1):
-            if a == 0:
-                continue
-            for j, b in enumerate(g.linear, 1):
-                if b == 0 or i == j:
-                    continue
-                if i > j:
-                    yield BasisCommutator(i, j), a * b
-                else:
-                    yield BasisCommutator(j, i), -a * b
-        for c, coeff in f.comm.items():
-            for j, b in enumerate(g.linear, 1):
-                if b != 0:
-                    for c2, sign in _ad(c, (j,)):
-                        yield c2, coeff * b * sign
-        for c, coeff in g.comm.items():
-            for j, a in enumerate(f.linear, 1):
-                if a != 0:
-                    for c2, sign in _ad(c, (j,)):
-                        yield c2, -coeff * a * sign
-
-    return LieElement(f.n, None, add_terms({}, terms()))
+    n = f.n
+    pairs = []
+    for part, lin, neg in ((f.comm, g.linear, False), (g.comm, f.linear, True)):
+        if part and any(lin):
+            terms = {unit_vector(n, j): -v if neg else v for j, v in enumerate(lin) if v}
+            pairs.append((part, Polynomial._wrap(n, terms)))
+    comm = sum_of_actions(n, pairs).comm if pairs else {}
+    pair_brackets = (
+        (BasisCommutator(i, j), a * b) if i > j else (BasisCommutator(j, i), -a * b)
+        for i, a in enumerate(f.linear, 1) if a
+        for j, b in enumerate(g.linear, 1) if b and i != j
+    )
+    return LieElement._wrap(n, (_ZERO,) * n, add_terms(comm, pair_brackets))
 
 
 def ad_action(f: LieElement, p: Polynomial) -> LieElement:
-    """The polynomial-ring module action f * p(ad x_1, ..., ad x_n).
-
-    Defined on the commutator ideal only; ad-factors commute there, so the
-    action by a polynomial is well defined monomial by monomial.
-    """
+    """The module action f * p(ad x_1, ..., ad x_n) on the commutator ideal,
+    where ad-factors commute: the one-pair case of ``sum_of_actions``."""
     if not f.linear_is_zero():
         raise DomainError("the polynomial action is defined on the commutator ideal only")
-    if p.nvars != f.n:
-        raise DimensionError(f"polynomial over {p.nvars} variables, rank is {f.n}")
-    monomials = [(_factors(mono), beta) for mono, beta in p.terms.items()]
-    acc = {}
-    for c, gamma in f.comm.items():
-        for factors, beta in monomials:
-            scale = gamma * beta
-            add_terms(acc, ((c2, scale * sign) for c2, sign in _ad(c, factors)))
-    return LieElement(f.n, None, acc)
+    return sum_of_actions(f.n, [(f.comm, p)])
 
 
 def apply_perm_lie(sigma, f: LieElement) -> LieElement:
@@ -326,7 +333,8 @@ def apply_perm_lie(sigma, f: LieElement) -> LieElement:
             key = _new(BasisCommutator, (a, b, tuple(factors)))
             acc[key] = acc.get(key, 0) + gamma
             continue
-        # the Jacobi split of _ad: [a, b, j] = [a, j, b] - [b, j, a]
+        # the Jacobi split of _ad, [a, b, j] = [a, j, b] - [b, j, a], kept inline:
+        # calling _ad here made reynolds_lie 13-18% slower on the bench decompose inputs
         j = factors[0]
         rest = factors[1:]
         key = _new(BasisCommutator, (a, j, tuple(sorted(rest + [b]))))

@@ -74,9 +74,9 @@ def add_terms(acc, pairs):
     return acc
 
 
-def _denominator(p) -> int:
-    """The lcm of the coefficient denominators of p (1 for zero)."""
-    return lcm(*(c.denominator for c in p.terms.values()))
+def _denominator(terms) -> int:
+    """The lcm of the denominators of a map's int or Fraction values (1 if empty)."""
+    return lcm(*(c.denominator for c in terms.values()))
 
 
 def sum_of_products(nvars: int, pairs) -> "Polynomial":
@@ -88,7 +88,7 @@ def sum_of_products(nvars: int, pairs) -> "Polynomial":
     summed as ints by exponent vector, and each nonzero sum v becomes one
     Fraction(v, D).  An empty ``pairs`` gives zero.
     """
-    pairs = [(p, q, _denominator(p), _denominator(q)) for p, q in pairs]
+    pairs = [(p, q, _denominator(p.terms), _denominator(q.terms)) for p, q in pairs]
     for p, q, _, _ in pairs:
         if p.nvars != nvars or q.nvars != nvars:
             raise DimensionError(
@@ -167,8 +167,8 @@ class Polynomial:
                     raise DimensionError(
                         f"exponent vector {mono} has length {len(mono)}, expected {nvars}"
                     )
-                if any(e < 0 for e in mono):
-                    raise DimensionError(f"negative exponent in {mono}")
+                if any(type(e) is not int or e < 0 for e in mono):
+                    raise DimensionError(f"exponents in {mono} must be nonnegative ints")
                 coeff = as_fraction(coeff)
                 if coeff != 0:
                     clean[mono] = coeff

@@ -11,8 +11,8 @@ u-coefficients, so the embedded image of the commutator ideal is exactly the
 kernel of (p_1, ..., p_n) -> sum_i x_i p_i with zero v-part.  Both the
 membership residual and the preimage group the u-coordinates (i, m) by their
 content x_i * m: a commutator only moves coefficient between coordinates of
-one content class, so the preimage clears every class independently in a
-single pass.
+one content class, so the preimage clears every class independently and
+hands the ad-actions it needs to ``lie.sum_of_actions`` in a single call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, MembershipError, RankError
-from .lie import BasisCommutator, LieElement, _ad, _factors
+from .lie import BasisCommutator, LieElement, sum_of_actions
 from .polynomials import Polynomial, add_terms, as_fraction, signed_text, unit_vector
 
 _ZERO = Fraction(0)
@@ -226,7 +226,8 @@ def preimage(w: WreathElement) -> LieElement:
     M = x_i * m sum to zero.  Within a class with smallest contributing index
     b, each other contributor a is cleared by coeff * embed([x_a, x_b] *
     M/(x_a x_b)), which moves its coefficient onto b and nowhere else, so the
-    classes are independent and one pass assembles the canonical preimage.
+    classes are independent; grouped by (a, b) into polynomials in
+    M/(x_a x_b), one ``sum_of_actions`` call assembles the canonical preimage.
     """
     n = w.n
     linear = w.vpart
@@ -239,16 +240,16 @@ def preimage(w: WreathElement) -> LieElement:
             f"element is not in the embedded image; residual sum x_i*p_i = {residual}",
             residual,
         )
-    acc = {}
+    actions = {}
     for content, members in classes.items():
         b = members[0][0]
         for a, coeff in members[1:]:
             m_ab = list(content)
             m_ab[a] -= 1
             m_ab[b] -= 1
-            commutator = BasisCommutator(a + 1, b + 1)
-            add_terms(acc, ((c2, coeff * sign) for c2, sign in _ad(commutator, _factors(m_ab))))
-    return LieElement(n, linear, acc)
+            actions.setdefault((a + 1, b + 1), {})[tuple(m_ab)] = coeff
+    pairs = [({BasisCommutator(*ab): 1}, Polynomial._wrap(n, m)) for ab, m in actions.items()]
+    return LieElement._wrap(n, linear, sum_of_actions(n, pairs).comm)
 
 
 def apply_perm_wreath(sigma, w: WreathElement) -> WreathElement:

@@ -1,24 +1,26 @@
 """The original slow paths, kept verbatim as references for the fast ones.
 
 ``_ad_monomial`` acts by a monomial one ad-factor at a time through
-``_ad_one``, rebuilding a dict per factor; ``polynomial_product`` multiplies
-two polynomials on Fraction coefficients; ``group_average`` sums the n!
-images with a fresh copy of the running total per permutation and returns x
-itself when n = 1, and ``apply_perm_lie`` multiplies every coefficient by its
-sign; ``generator_h`` adds two whole module products as wreath elements;
-``preimage`` clears the graded-lex largest content class one at a time with
-a full rescan per class; ``solve_exact`` / ``nullspace`` run classical
-Gauss-Jordan elimination on Fraction entries; ``invariant_space_basis``
-lists every degree-d basis commutator and takes the kernel of sigma - 1 over
-the two generators of S_n with ``linalg.nullspace``; and
-``decompose_invariant`` builds, per degree, every column eps_j * e^b as
-wreath coordinates and solves for the embedded component with
-``linalg.solve_exact``.  Both ``linalg`` functions are looked up at call
-time so that a test can swap in the Fraction versions above.
+``_ad_one``, rebuilding a dict per factor; ``bracket`` and ``ad_action`` act
+through ``_ad`` term by term and add each image on Fraction coefficients;
+``polynomial_product`` multiplies two polynomials on Fraction coefficients;
+``group_average`` sums the n! images with a fresh copy of the running total
+per permutation and returns x itself when n = 1, and ``apply_perm_lie``
+multiplies every coefficient by its sign; ``generator_h`` adds two whole
+module products as wreath elements; ``preimage`` clears the graded-lex
+largest content class one at a time with a full rescan per class;
+``solve_exact`` / ``nullspace`` run classical Gauss-Jordan elimination on
+Fraction entries; ``invariant_space_basis`` lists every degree-d basis
+commutator and takes the kernel of sigma - 1 over the two generators of S_n
+with ``linalg.nullspace``; and ``decompose_invariant`` builds, per degree,
+every column eps_j * e^b as wreath coordinates and solves for the embedded
+component with ``linalg.solve_exact``.  Both ``linalg`` functions are looked
+up at call time so that a test can swap in the Fraction versions above.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
-fraction-free products, sums of products and S_n average, single-pass
-preimage, fraction-free integer elimination, constructive invariant basis
-and structured decomposition to return exactly what these return.
+integer sums of actions, fraction-free products, sums of products and S_n
+average, single-pass preimage, fraction-free integer elimination,
+constructive invariant basis and structured decomposition to return exactly
+what these return.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from math import factorial
 from metabelian import linalg
 from metabelian.errors import (
     DimensionError,
+    DomainError,
     InternalConsistencyError,
     InvarianceError,
     MembershipError,
@@ -42,7 +45,7 @@ from metabelian.invariants import (
     solve_weighted_kernel,
     weighted_exponent_vectors,
 )
-from metabelian.lie import BasisCommutator, LieElement, _ad, grade
+from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, grade
 from metabelian.permutations import enumerate_sn, sn_generators
 from metabelian.polynomials import (
     EDecomposition,
@@ -94,6 +97,60 @@ def _ad_monomial(c: BasisCommutator, exponents):
                         nxt[c2] = val
             current = nxt
     return current
+
+
+def bracket(f: LieElement, g: LieElement) -> LieElement:
+    """The Lie bracket [f, g], returned in canonical basis form.
+
+    Brackets between two commutator-ideal elements vanish (the algebra is
+    metabelian); the remaining pieces reduce to pair brackets of variables
+    and single ad-factor applications.
+    """
+    if f.n != g.n:
+        raise DimensionError(f"ranks {f.n} and {g.n} differ")
+
+    def terms():
+        for i, a in enumerate(f.linear, 1):
+            if a == 0:
+                continue
+            for j, b in enumerate(g.linear, 1):
+                if b == 0 or i == j:
+                    continue
+                if i > j:
+                    yield BasisCommutator(i, j), a * b
+                else:
+                    yield BasisCommutator(j, i), -a * b
+        for c, coeff in f.comm.items():
+            for j, b in enumerate(g.linear, 1):
+                if b != 0:
+                    for c2, sign in _ad(c, (j,)):
+                        yield c2, coeff * b * sign
+        for c, coeff in g.comm.items():
+            for j, a in enumerate(f.linear, 1):
+                if a != 0:
+                    for c2, sign in _ad(c, (j,)):
+                        yield c2, -coeff * a * sign
+
+    return LieElement(f.n, None, add_terms({}, terms()))
+
+
+def ad_action(f: LieElement, p: Polynomial) -> LieElement:
+    """The polynomial-ring module action f * p(ad x_1, ..., ad x_n).
+
+    Defined on the commutator ideal only; ad-factors commute there, so the
+    action by a polynomial is well defined monomial by monomial.
+    """
+    if not f.linear_is_zero():
+        raise DomainError("the polynomial action is defined on the commutator ideal only")
+    if p.nvars != f.n:
+        raise DimensionError(f"polynomial over {p.nvars} variables, rank is {f.n}")
+    monomials = [(_factors(mono), beta) for mono, beta in p.terms.items()]
+    acc = {}
+    for c, gamma in f.comm.items():
+        for factors, beta in monomials:
+            scale = gamma * beta
+            add_terms(acc, ((c2, scale * sign) for c2, sign in _ad(c, factors)))
+    return LieElement(f.n, None, acc)
 
 
 def polynomial_product(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -1,8 +1,10 @@
-"""The closed-form ad-action, the fraction-free products, sums of products
-and S_n average, the single-pass preimage, the fraction-free elimination,
-the constructive invariant basis and the structured decomposition must
-return exactly what the original slow paths in reference_impl.py return,
-and every commutator built unchecked must pass the validating constructor."""
+"""The closed-form ad-action, the integer sums of actions and the bracket on
+them, the fraction-free products, sums of products and S_n average, the
+single-pass preimage, the fraction-free elimination, the constructive
+invariant basis and the structured decomposition must return exactly what
+the original slow paths in reference_impl.py return, every commutator built
+unchecked must pass the validating constructor, and the library's
+act-and-accumulate loops must all run on sum_of_actions."""
 
 import random
 from collections import Counter
@@ -30,6 +32,7 @@ from metabelian import (
     WreathElement,
     ad_action,
     apply_perm_lie,
+    bracket,
     decompose_invariant,
     elementary_symmetric,
     embed,
@@ -43,9 +46,9 @@ from metabelian import (
     reynolds_poly,
     sum_of_variables,
 )
-from metabelian import linalg
+from metabelian import invariants, lie, linalg, wreath
 from metabelian.invariants import weighted_exponent_vectors
-from metabelian.lie import _ad, _factors
+from metabelian.lie import _ad, _factors, sum_of_actions
 from metabelian.linalg import nullspace, solve_exact
 from metabelian.polynomials import sum_of_products
 
@@ -133,6 +136,69 @@ def test_sum_of_products_matches_the_reference_products(case):
         total = total + ref.polynomial_product(p, q)
     assert out == total
     assert all(type(c) is Fraction for c in out.terms.values())
+
+
+def basis_commutators(n):
+    """Basis commutators at rank n >= 2 with up to two ad-factors."""
+    return st.integers(1, n - 1).flatmap(
+        lambda i2: st.builds(
+            BasisCommutator,
+            st.integers(i2 + 1, n),
+            st.just(i2),
+            st.lists(st.integers(i2, n), max_size=2),
+        )
+    )
+
+
+@st.composite
+def action_sums(draw):
+    """(n, pairs) at rank 2..5: up to four pairs of a commutator map, with
+    int or mixed-denominator coefficients, and a polynomial, possibly none,
+    each possibly followed by its negation so that the two cancel to zero."""
+    n = draw(st.integers(2, 5))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), rationals, max_size=4)
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = draw(st.sampled_from([rationals, st.integers(-3, 3)]))
+        comm = draw(st.dictionaries(basis_commutators(n), coeffs, max_size=3))
+        p = Polynomial(n, draw(terms))
+        pairs.append((comm, p))
+        if draw(st.booleans()):
+            pairs.append((comm, -p))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(action_sums())
+@example((3, []))
+@example((3, [({BasisCommutator(2, 1): 1}, Polynomial.variable(3, 3) * Fraction(1, 2))]))
+def test_sum_of_actions_matches_the_reference_ad_actions(case):
+    n, pairs = case
+    out = sum_of_actions(n, pairs)
+    total = LieElement.zero(n)
+    for comm, p in pairs:
+        total = total + ref.ad_action(LieElement(n, None, comm), p)
+    assert out == total
+    assert all(type(c) is Fraction for c in fraction_coefficients(out))
+
+
+@st.composite
+def lie_element_pairs(draw):
+    """Two elements at rank 2..5 whose linear parts hold zeros as well as
+    mixed-denominator coefficients, with up to three commutators each."""
+    n = draw(st.integers(2, 5))
+    linear = st.lists(st.one_of(st.just(0), rationals), min_size=n, max_size=n)
+    comm = st.dictionaries(basis_commutators(n), rationals, max_size=3)
+    return [LieElement(n, draw(linear), draw(comm)) for _ in range(2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lie_element_pairs())
+def test_bracket_matches_the_reference(elements):
+    f, g = elements
+    out = bracket(f, g)
+    assert out == ref.bracket(f, g)
+    assert all(type(c) is Fraction for c in fraction_coefficients(out))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -224,13 +290,9 @@ def test_unchecked_keys_pass_the_validating_constructor(case, seed):
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
 
-def test_reynolds_lie_does_no_fraction_arithmetic_per_permutation(monkeypatch):
-    """At n = 5 the average adds and multiplies Fractions at most once per
-    input and output coefficient (plus n), not once per permutation and
-    term; the reference enumeration, counted by the same wrappers, does."""
-    n = 5
-    f = rational_lie_element(random.Random(5), n)
-    f = f + random_homogeneous_commutator(random.Random(6), n, 4, comm_terms=3) * Fraction(2, 7)
+def count_fraction_arithmetic(monkeypatch, fn, *args):
+    """fn(*args) and the number of Fraction additions, subtractions and
+    multiplications it made."""
     counts = Counter()
 
     def counting(name, orig):
@@ -242,15 +304,71 @@ def test_reynolds_lie_does_no_fraction_arithmetic_per_permutation(monkeypatch):
 
     for name in FRACTION_ARITHMETIC:
         monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
-    out = reynolds_lie(f)
-    fast = sum(counts.values())
-    counts.clear()
-    slow_out = ref.group_average(f, ref.apply_perm_lie, n, LieElement.zero(n))
-    slow = sum(counts.values())
+    out = fn(*args)
     monkeypatch.undo()
+    return out, sum(counts.values())
+
+
+def test_reynolds_lie_does_no_fraction_arithmetic_per_permutation(monkeypatch):
+    """At n = 5 the average adds and multiplies Fractions at most once per
+    input and output coefficient (plus n), not once per permutation and
+    term; the reference enumeration, counted by the same wrappers, does."""
+    n = 5
+    f = rational_lie_element(random.Random(5), n)
+    f = f + random_homogeneous_commutator(random.Random(6), n, 4, comm_terms=3) * Fraction(2, 7)
+    out, fast = count_fraction_arithmetic(monkeypatch, reynolds_lie, f)
+    slow_out, slow = count_fraction_arithmetic(
+        monkeypatch, ref.group_average, f, ref.apply_perm_lie, n, LieElement.zero(n)
+    )
     bound = (n + len(f.comm)) + (n + len(out.comm)) + n
     assert out == slow_out
     assert fast <= bound < slow
+
+
+def test_ad_action_does_no_fraction_arithmetic_per_term_pair(monkeypatch):
+    """One ad_action at n = 5 by a six-term polynomial makes no Fraction
+    addition or product per (commutator, monomial) pair, while the
+    reference makes several."""
+    n = 5
+    f = random_homogeneous_commutator(random.Random(7), n, 4, comm_terms=4)
+    p = random_polynomial(random.Random(8), n, 3, max_terms=6)
+    out, fast = count_fraction_arithmetic(monkeypatch, ad_action, f, p)
+    slow_out, slow = count_fraction_arithmetic(monkeypatch, ref.ad_action, f, p)
+    assert out == slow_out
+    assert fast == 0 < len(f.comm) * len(p.terms) < slow
+
+
+def test_act_and_accumulate_loops_run_on_sum_of_actions(monkeypatch):
+    """ad_action, bracket with a commutator part, preimage and reconstruct
+    each make exactly one sum_of_actions call, and wreath has no private
+    copy of the ad-action rule."""
+    n = 4
+    h = generator_h_lie(n, 1, 2)
+    f = ad_action(h, elementary_symmetric(n, 1)) + generator_h_lie(n, 1, 3) * 2
+    dec = decompose_invariant(f)
+    assert dec.reconstruct() == f  # and fills the generator_h_lie cache
+    assert len(dec.parts) == 2
+    calls = []
+
+    def counted(n, pairs):
+        calls.append(n)
+        return kernel(n, pairs)
+
+    kernel = lie.sum_of_actions
+    for mod in (lie, wreath, invariants):
+        monkeypatch.setattr(mod, "sum_of_actions", counted)
+
+    def kernel_calls(fn, *args):
+        del calls[:]
+        fn(*args)
+        return len(calls)
+
+    assert kernel_calls(ad_action, h, elementary_symmetric(n, 2)) == 1
+    assert kernel_calls(bracket, h, LieElement.variable(n, 1)) == 1
+    assert kernel_calls(bracket, LieElement.variable(n, 2), h) == 1
+    assert kernel_calls(preimage, generator_h(n, 1, 3)) == 1
+    assert kernel_calls(dec.reconstruct) == 1
+    assert not hasattr(wreath, "_ad") and not hasattr(wreath, "_factors")
 
 
 @settings(max_examples=80, deadline=None)

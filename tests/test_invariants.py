@@ -5,11 +5,14 @@ from itertools import combinations
 import pytest
 
 from metabelian import (
+    AlgebraError,
     BasisCommutator,
+    DimensionError,
     DomainError,
     EDecomposition,
     InternalConsistencyError,
     InvarianceError,
+    InvariantDecomposition,
     KernelError,
     LieElement,
     Permutation,
@@ -137,6 +140,27 @@ def test_generator_h_index_errors():
         generator_h(3, 1, 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: epsilon(3, 1.5),
+        lambda: epsilon(3.0, 1),
+        lambda: generator_h(3, 1, 2.5),
+        lambda: generator_h(3, True, 2),
+        lambda: generator_h_lie(3, 1.0, 2),
+        lambda: generator_h_lie(3, 1, 2.0),
+        lambda: verify_module_relation(3, 1, 2, 2.5),
+        lambda: verify_module_relation(3.0, 1, 2, 3),
+    ],
+)
+def test_generator_indices_must_be_ints(call):
+    # the int calls fill the caches first: a float equal to a cached int
+    # must not be served the cached value
+    epsilon(3, 1), generator_h(3, 1, 2), generator_h_lie(3, 1, 2)
+    with pytest.raises(RankError):
+        call()
+
+
 def test_generator_lie_golden_n2():
     expected = normal_form(parse_lie_expr("[x2,x1,x2] - [x2,x1,x1]", 2), 2)
     assert generator_h_lie(2, 1, 2) == expected
@@ -250,6 +274,28 @@ def test_decompose_generator_itself():
     assert set(dec.parts) == {(1, 2)}
     assert dec.parts[(1, 2)].terms == {(0, 0): Fraction(1)}
     assert dec.verify(f)
+
+
+@pytest.mark.parametrize(
+    "part, error",
+    [
+        (Polynomial.one(3), DomainError),
+        (EDecomposition(4, {(0, 0, 0, 0): 1}), DimensionError),
+        (EDecomposition(2, {(1, 0): 1}), DimensionError),
+    ],
+)
+def test_invariant_decomposition_rejects_bad_parts(part, error):
+    with pytest.raises(error):
+        InvariantDecomposition(3, 0, {(1, 2): part})
+    assert issubclass(error, AlgebraError)
+    good = InvariantDecomposition(3, 0, {(1, 2): EDecomposition(3, {(0, 0, 0): 1})})
+    assert good.reconstruct() == generator_h_lie(3, 1, 2)
+
+
+@pytest.mark.parametrize("n, parts", [(0, {}), (2.0, {}), (3, {(1.0, 2): None})])
+def test_invariant_decomposition_rejects_bad_ranks_and_pairs(n, parts):
+    with pytest.raises(RankError):
+        InvariantDecomposition(n, 0, parts)
 
 
 def test_decompose_linear_invariant():

@@ -62,6 +62,14 @@ def test_mismatched_rings_rejected():
         x(2, 1) * x(3, 1)
 
 
+@pytest.mark.parametrize("mono", [(1.5, 0), ("1", 0), (True, 0), (1, 2.0), (-1, 0)])
+def test_exponents_must_be_nonnegative_ints(mono):
+    with pytest.raises(DimensionError):
+        Polynomial(2, {mono: 1})
+    with pytest.raises(DimensionError):
+        Polynomial.monomial(2, mono)
+
+
 def test_elementary_symmetric_small():
     assert elementary_symmetric(2, 1) == x(2, 1) + x(2, 2)
     assert elementary_symmetric(3, 3) == x(3, 1) * x(3, 2) * x(3, 3)
