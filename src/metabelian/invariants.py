@@ -11,6 +11,11 @@ x_i) and e_q the elementary symmetric polynomial.  decompose_invariant makes
 this constructive: any invariant is rewritten exactly as a scalar multiple of
 x_1 + ... + x_n plus a combination of the h_ij with coefficients that are
 polynomials in e_1, ..., e_n.
+
+The embedding is injective and S_n-equivariant, so an invariant element
+sum_i u_i p_i is fixed by its u_1-coordinate p_1 (p_sigma(1) = sigma * p_1),
+which is symmetric in x_2..x_n: invariants are built on u_1 and spread, and
+checked on u_1 only.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from .errors import (
     KernelError,
     RankError,
 )
-from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, grade, sum_of_actions
+from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, sum_of_actions
 from .linalg import _integer_rows, _reduce
-from .permutations import group_average, moving_generator
+from .permutations import Permutation, group_average, moving_generator
 from .polynomials import (
     EDecomposition,
     Polynomial,
+    _require_ints,
     add_terms,
     as_fraction,
     decompose_in_elementary,
@@ -43,7 +49,7 @@ from .polynomials import (
     sum_of_products,
     unit_vector,
 )
-from .wreath import WreathElement, embed, preimage
+from .wreath import WreathElement, apply_perm_wreath, embed, preimage
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -54,10 +60,12 @@ def sum_of_variables(n: int) -> LieElement:
     return LieElement(n, (_ONE,) * n)
 
 
-def _require_ints(*values):
-    """Raise RankError unless the rank and indices are all ints."""
-    if any(type(v) is not int for v in values):
-        raise RankError(f"rank and indices must be ints, got {values}")
+def _spread(p1: Polynomial) -> WreathElement:
+    """The element with u_k = p1 under (1 k) and zero v-part: for p1 symmetric
+    in x_2..x_n, the invariant element whose u_1-coordinate is p1."""
+    n = p1.nvars
+    swaps = (Permutation.transposition(n, 1, k) for k in range(2, n + 1))
+    return WreathElement(n, (p1, *(p1.apply_perm(sigma) for sigma in swaps)))
 
 
 # typed caches, so that a float equal to a cached int reaches the check
@@ -67,17 +75,10 @@ def epsilon(n: int, j: int) -> WreathElement:
     _require_ints(n, j)
     if not 1 <= j <= n:
         raise RankError(f"index {j} outside 1..{n}")
-    upart = []
-    for i in range(n):
-        terms = {}
-        others = [k for k in range(n) if k != i]
-        for subset in combinations(others, j - 1):
-            mono = [0] * n
-            for k in subset:
-                mono[k] = 1
-            terms[tuple(mono)] = _ONE
-        upart.append(Polynomial(n, terms))
-    return read_only(WreathElement(n, tuple(upart)))
+    # e_{j-1}(x_2..x_n) is the part of e_{j-1} free of x_1
+    terms = elementary_symmetric(n, j - 1).terms
+    p1 = Polynomial._wrap(n, {m: c for m, c in terms.items() if not m[0]})
+    return read_only(_spread(p1))
 
 
 def polarized_elementary(n: int, p: int, q: int) -> Polynomial:
@@ -102,29 +103,17 @@ def polarized_elementary(n: int, p: int, q: int) -> Polynomial:
     return Polynomial(2 * n, terms)
 
 
-def _module_sum(n: int, pairs) -> WreathElement:
-    """sum_k w_k.module_mul(p_k) over the (w_k, p_k) in ``pairs``, one
-    ``sum_of_products`` per u-index; every w_k has zero v-part."""
-    return WreathElement(
-        n, tuple(sum_of_products(n, [(w.upart[k], p) for w, p in pairs]) for k in range(n))
-    )
-
-
 @lru_cache(maxsize=None, typed=True)
 def generator_h(n: int, i: int, j: int) -> WreathElement:
     """The invariant module generator j*eps_i*e_j - i*eps_j*e_i."""
     _require_ints(n, i, j)
     if not 1 <= i < j <= n:
         raise RankError(f"need 1 <= i < j <= n, got ({i}, {j}) with n = {n}")
-    return read_only(
-        _module_sum(
-            n,
-            [
-                (epsilon(n, i), elementary_symmetric(n, j) * j),
-                (epsilon(n, j), elementary_symmetric(n, i) * -i),
-            ],
-        )
-    )
+    pairs = [
+        (epsilon(n, i).upart[0], elementary_symmetric(n, j) * j),
+        (epsilon(n, j).upart[0], elementary_symmetric(n, i) * -i),
+    ]
+    return read_only(_spread(sum_of_products(n, pairs)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -175,15 +164,13 @@ def verify_module_relation(n: int, i: int, j: int, k: int) -> bool:
     _require_ints(n, i, j, k)
     if not 1 <= i < j < k <= n:
         raise RankError(f"need 1 <= i < j < k <= n, got ({i}, {j}, {k}) with n = {n}")
-    combo = _module_sum(
-        n,
-        [
-            (generator_h(n, i, j), elementary_symmetric(n, k) * k),
-            (generator_h(n, i, k), elementary_symmetric(n, j) * -j),
-            (generator_h(n, j, k), elementary_symmetric(n, i) * i),
-        ],
-    )
-    return combo.is_zero()
+    pairs = [
+        (generator_h(n, i, j).upart[0], elementary_symmetric(n, k) * k),
+        (generator_h(n, i, k).upart[0], elementary_symmetric(n, j) * -j),
+        (generator_h(n, j, k).upart[0], elementary_symmetric(n, i) * i),
+    ]
+    # both sides are invariant with zero v-part, so equal u_1 means equal elements
+    return sum_of_products(n, pairs).is_zero()
 
 
 class InvariantDecomposition:
@@ -317,36 +304,42 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     coefficients against the exponent vector a obtained by bumping position
     j, each fixed a satisfies sum_j j * alpha_{a,j} = 0, so the
     weighted-kernel expansion converts the block into h_{j1,jk} terms with
-    e-monomial coefficients.  The result is re-verified against the
-    embedding before returning.
+    e-monomial coefficients.  The input is embedded once: invariance is
+    tested on the embedded element, and the result is re-verified on u_1
+    before returning.
     """
     n = f.n
-    violation = invariance_violation(f)
+    w = embed(f)
+    violation = moving_generator(w, apply_perm_wreath, n)
     if violation is not None:
         raise InvarianceError(f"element is not invariant: moved by {violation}", violation)
     f1_coeff = f.linear[0]
     if any(v != f1_coeff for v in f.linear):
         raise InternalConsistencyError("invariant element with non-uniform linear part")
-    fc = f.commutator_part()
+    # u_1 without its constant term, the linear part, sliced by degree
+    u1 = {mono: c for mono, c in w.upart[0].terms.items() if any(mono)}
+    slices = {}
+    for mono, coeff in u1.items():
+        slices.setdefault(sum(mono) + 1, {})[mono] = coeff
     parts_acc = {}
-    for d in fc.degrees():
+    for d in sorted(slices):
         alpha = {}
-        for j, b, gamma in _module_coordinates(embed(grade(fc, d)).upart[0], d):
+        for j, b, gamma in _module_coordinates(Polynomial._wrap(n, slices[d]), d):
             a = list(b)
             a[j - 1] += 1
             a = tuple(a)
             vec = alpha.setdefault(a, [_ZERO] * n)
             vec[j - 1] += gamma
         for a, cvec in sorted(alpha.items(), key=lambda kv: grlex_key(kv[0])):
-            if all(v == 0 for v in cvec):
-                continue
-            if sum((k + 1) * v for k, v in enumerate(cvec)) != 0:
+            try:
+                betas = solve_weighted_kernel(cvec)
+            except KernelError:
                 raise InternalConsistencyError(
                     f"block {a} violates the weighted constraint; "
                     "the input cannot come from the commutator ideal"
-                )
+                ) from None
             j1 = next(k + 1 for k, v in enumerate(cvec) if v != 0)
-            for jk, beta in solve_weighted_kernel(cvec).items():
+            for jk, beta in betas.items():
                 newexp = list(a)
                 newexp[j1 - 1] -= 1
                 newexp[jk - 1] -= 1
@@ -358,8 +351,9 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     result = InvariantDecomposition(
         n, f1_coeff, {pair: EDecomposition(n, terms) for pair, terms in parts_acc.items()}
     )
-    check = _module_sum(n, [(generator_h(n, i, j), q.expand()) for i, j, q in result.items()])
-    if check != embed(fc):
+    pairs = [(generator_h(n, i, j).upart[0], q.expand()) for i, j, q in result.items()]
+    # both sides are invariant with zero v-part, so equal u_1 means equal elements
+    if sum_of_products(n, pairs).terms != u1:
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result
 
@@ -382,6 +376,7 @@ def hilbert_function(n: int, d: int) -> int:
     is sum_{j <= min(n, d)} p_n(d - j) - p_n(d) with p_n(m) the number of
     partitions of m into parts of size at most n.
     """
+    _require_ints(n, d)
     if n < 1:
         raise RankError(f"rank must be positive, got {n}")
     if d < 1:
@@ -404,6 +399,7 @@ def invariant_space_basis(n: int, d: int):
     pivot order: the kernel basis of sigma - 1 that sets one free commutator
     to 1 and the others to 0.
     """
+    _require_ints(n, d)
     if n < 1:
         raise RankError(f"rank must be positive, got {n}")
     if d < 1:

@@ -38,7 +38,9 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import DimensionError, DomainError, RankError
-from .polynomials import Polynomial, _denominator, add_terms, as_fraction, signed_text, unit_vector
+from .polynomials import (
+    Polynomial, _denominator, _require_ints, add_terms, as_fraction, signed_text, unit_vector
+)
 
 _ZERO = Fraction(0)
 
@@ -122,6 +124,7 @@ class LieElement:
     __slots__ = ("n", "linear", "comm")
 
     def __init__(self, n: int, linear=None, comm=None):
+        _require_ints(n)
         if n < 1:
             raise RankError(f"rank must be positive, got {n}")
         self.n = n

@@ -9,9 +9,9 @@ elementary-symmetric reduction is graded lexicographic with x1 > x2 > ... > xn.
 fraction-free, over one common denominator taken before any product, with
 the integer numerators multiplied and accumulated as Python ints and each
 output coefficient made a Fraction once.  ``Polynomial.__mul__`` is its
-one-pair case, and sums of products (the module generators h_ij and the
-reassembly of a decomposition) run on it directly instead of adding Fraction
-polynomials pair by pair.
+one-pair case, and sums of products (u_1 of a module generator h_ij, the u_1
+self-check of a decomposition, the expansion of an e-polynomial) run on it
+directly instead of adding Fraction polynomials pair by pair.
 
 Besides ring arithmetic this module provides the elementary symmetric
 polynomials, the symmetry test on the two standard generators of S_n, the
@@ -50,6 +50,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _require_ints(*values):
+    """Raise RankError unless the ranks, indices and degrees are all ints."""
+    if any(type(v) is not int for v in values):
+        raise RankError(f"ranks, indices and degrees must be ints, got {values}")
 
 
 def unit_vector(length: int, index: int):
@@ -156,6 +162,7 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        _require_ints(nvars)
         if nvars < 1:
             raise RankError(f"a polynomial ring needs at least one variable, got {nvars}")
         self.nvars = nvars
@@ -262,6 +269,8 @@ class Polynomial:
         return self * other
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        if type(exponent) is not int:
+            raise DimensionError(f"powers must be ints, got {exponent!r}")
         if exponent < 0:
             raise DimensionError("negative powers are not polynomials")
         result = type(self).one(self.nvars)
@@ -344,13 +353,15 @@ class Polynomial:
         return self.to_text()
 
 
-@lru_cache(maxsize=None)
+# typed, so that a float equal to a cached int reaches the check
+@lru_cache(maxsize=None, typed=True)
 def elementary_symmetric(n: int, q: int) -> Polynomial:
     """e_q in n variables: the sum of all squarefree degree-q monomials.
 
     e_0 = 1, and e_q = 0 for q > n, matching the generating-function
     convention prod(1 + x_i t) = sum e_q t^q.
     """
+    _require_ints(n, q)
     if n < 1:
         raise RankError(f"rank must be positive, got {n}")
     if q < 0:
@@ -423,10 +434,10 @@ class EDecomposition(Polynomial):
         return self.nvars
 
     def expand(self) -> Polynomial:
-        total = Polynomial.zero(self.n)
-        for vec, coeff in self.terms.items():
-            total = total + expand_e_monomial(self.n, vec) * coeff
-        return total
+        n = self.n
+        return sum_of_products(
+            n, [(expand_e_monomial(n, v), Polynomial.constant(n, c)) for v, c in self.terms.items()]
+        )
 
     def to_text(self, names=None) -> str:
         return super().to_text(names or default_names(self.n, prefix="e"))

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError, MembershipError, RankError
 from .lie import BasisCommutator, LieElement, sum_of_actions
-from .polynomials import Polynomial, add_terms, as_fraction, signed_text, unit_vector
+from .polynomials import Polynomial, _require_ints, add_terms, as_fraction, signed_text, unit_vector
 
 _ZERO = Fraction(0)
 
@@ -32,6 +32,7 @@ class WreathElement:
     __slots__ = ("n", "upart", "vpart")
 
     def __init__(self, n: int, upart=None, vpart=None):
+        _require_ints(n)
         if n < 1:
             raise RankError(f"rank must be positive, got {n}")
         self.n = n

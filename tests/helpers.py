@@ -134,7 +134,14 @@ def z_vector(n, j1, jk):
 
 
 def perturb_u1(monkeypatch, extra):
-    """Make decompose_invariant see ``extra`` added to every embedded u_1."""
+    """Make decompose_invariant read ``extra`` added to every degree slice of
+    u_1, after its invariance test, where the module coordinates are taken."""
+    coordinates = invariants._module_coordinates
+    monkeypatch.setattr(invariants, "_module_coordinates", lambda p1, d: coordinates(p1 + extra, d))
+
+
+def perturb_embedding(monkeypatch, extra):
+    """Make decompose_invariant see ``extra`` added to the embedded u_1."""
 
     def perturbed(f):
         w = embed(f)

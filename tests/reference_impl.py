@@ -6,27 +6,31 @@ through ``_ad`` term by term and add each image on Fraction coefficients;
 ``polynomial_product`` multiplies two polynomials on Fraction coefficients;
 ``group_average`` sums the n! images with a fresh copy of the running total
 per permutation and returns x itself when n = 1, and ``apply_perm_lie``
-multiplies every coefficient by its sign; ``generator_h`` adds two whole
-module products as wreath elements; ``preimage`` clears the graded-lex
-largest content class one at a time with a full rescan per class;
+multiplies every coefficient by its sign; ``epsilon`` lists the
+e_{j-1}(variables other than x_i) for every u-index i, ``generator_h`` adds two
+whole module products of it as wreath elements, and
+``verify_module_relation`` forms the relation on all n u-coordinates through
+``_module_sum``; ``preimage`` clears the graded-lex largest content class one
+at a time with a full rescan per class;
 ``solve_exact`` / ``nullspace`` run classical Gauss-Jordan elimination on
 Fraction entries; ``invariant_space_basis`` lists every degree-d basis
 commutator and takes the kernel of sigma - 1 over the two generators of S_n
 with ``linalg.nullspace``; and ``decompose_invariant`` builds, per degree,
 every column eps_j * e^b as wreath coordinates and solves for the embedded
-component with ``linalg.solve_exact``.  Both ``linalg`` functions are looked
-up at call time so that a test can swap in the Fraction versions above.
+component with ``linalg.solve_exact``, after the Lie-side invariance test and
+before the self-check on all n u-coordinates.  Both ``linalg`` functions are
+looked up at call time so that a test can swap in the Fraction versions above.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
 integer sums of actions, fraction-free products, sums of products and S_n
 average, single-pass preimage, fraction-free integer elimination,
-constructive invariant basis and structured decomposition to return exactly
-what these return.
+constructive invariant basis, generators and relations built and checked on
+u_1, and structured decomposition to return exactly what these return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 from metabelian import linalg
@@ -36,11 +40,10 @@ from metabelian.errors import (
     InternalConsistencyError,
     InvarianceError,
     MembershipError,
+    RankError,
 )
 from metabelian.invariants import (
     InvariantDecomposition,
-    epsilon,
-    generator_h as library_generator_h,
     invariance_violation,
     solve_weighted_kernel,
     weighted_exponent_vectors,
@@ -50,10 +53,12 @@ from metabelian.permutations import enumerate_sn, sn_generators
 from metabelian.polynomials import (
     EDecomposition,
     Polynomial,
+    _require_ints,
     add_terms,
     elementary_symmetric,
     expand_e_monomial,
     grlex_key,
+    sum_of_products,
 )
 from metabelian.wreath import WreathElement, embed
 
@@ -162,6 +167,45 @@ def polynomial_product(p: Polynomial, q: Polynomial) -> Polynomial:
         for m2, c2 in q.terms.items()
     )
     return type(p)._wrap(p.nvars, add_terms({}, products))
+
+
+def epsilon(n: int, j: int) -> WreathElement:
+    """The u-linear generator sum_i u_i * e_{j-1}(variables other than x_i)."""
+    upart = []
+    for i in range(n):
+        terms = {}
+        others = [k for k in range(n) if k != i]
+        for subset in combinations(others, j - 1):
+            mono = [0] * n
+            for k in subset:
+                mono[k] = 1
+            terms[tuple(mono)] = _ONE
+        upart.append(Polynomial(n, terms))
+    return WreathElement(n, tuple(upart))
+
+
+def _module_sum(n: int, pairs) -> WreathElement:
+    """sum_k w_k.module_mul(p_k) over the (w_k, p_k) in ``pairs``, one
+    ``sum_of_products`` per u-index; every w_k has zero v-part."""
+    return WreathElement(
+        n, tuple(sum_of_products(n, [(w.upart[k], p) for w, p in pairs]) for k in range(n))
+    )
+
+
+def verify_module_relation(n: int, i: int, j: int, k: int) -> bool:
+    """Check k*h_ij*e_k - j*h_ik*e_j + i*h_jk*e_i = 0 in the wreath product."""
+    _require_ints(n, i, j, k)
+    if not 1 <= i < j < k <= n:
+        raise RankError(f"need 1 <= i < j < k <= n, got ({i}, {j}, {k}) with n = {n}")
+    combo = _module_sum(
+        n,
+        [
+            (generator_h(n, i, j), elementary_symmetric(n, k) * k),
+            (generator_h(n, i, k), elementary_symmetric(n, j) * -j),
+            (generator_h(n, j, k), elementary_symmetric(n, i) * i),
+        ],
+    )
+    return combo.is_zero()
 
 
 def generator_h(n: int, i: int, j: int) -> WreathElement:
@@ -489,7 +533,7 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     )
     check = WreathElement.zero(n)
     for i, j, q in result.items():
-        check = check + library_generator_h(n, i, j).module_mul(q.expand())
+        check = check + generator_h(n, i, j).module_mul(q.expand())
     if check != embed(fc):
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result

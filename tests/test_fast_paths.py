@@ -32,10 +32,12 @@ from metabelian import (
     WreathElement,
     ad_action,
     apply_perm_lie,
+    apply_perm_wreath,
     bracket,
     decompose_invariant,
     elementary_symmetric,
     embed,
+    epsilon,
     expand_e_monomial,
     generator_h,
     generator_h_lie,
@@ -44,7 +46,9 @@ from metabelian import (
     preimage,
     reynolds_lie,
     reynolds_poly,
+    sn_generators,
     sum_of_variables,
+    verify_module_relation,
 )
 from metabelian import invariants, lie, linalg, wreath
 from metabelian.invariants import weighted_exponent_vectors
@@ -207,6 +211,57 @@ def test_generator_h_matches_the_reference_formula(n):
         h = generator_h(n, i, j)
         assert h == ref.generator_h(n, i, j)
         assert all(type(c) is Fraction for p in h.upart for c in p.terms.values())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_epsilon_matches_the_reference_listing(n):
+    for j in range(1, n + 1):
+        assert epsilon(n, j) == ref.epsilon(n, j)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_module_relation_on_u1_matches_the_reference(n):
+    for i, j, k in combinations(range(1, n + 1), 3):
+        assert verify_module_relation(n, i, j, k) is ref.verify_module_relation(n, i, j, k) is True
+
+
+def test_both_relation_checks_catch_a_scaled_generator(monkeypatch):
+    def scaled(generator):
+        def h(n, i, j):
+            return generator(n, i, j) * (2 if (i, j) == (1, 2) else 1)
+
+        return h
+
+    monkeypatch.setattr(invariants, "generator_h", scaled(invariants.generator_h))
+    monkeypatch.setattr(ref, "generator_h", scaled(ref.generator_h))
+    assert verify_module_relation(4, 1, 2, 3) is ref.verify_module_relation(4, 1, 2, 3) is False
+
+
+def e_without_x1(n, k):
+    """e_k(x_2, ..., x_n) listed from its subsets, in the ring of n variables."""
+    subsets = combinations(range(1, n), k)
+    return Polynomial(n, {tuple(int(v in s) for v in range(n)): 1 for s in subsets})
+
+
+@st.composite
+def u1_coordinates(draw):
+    """A polynomial symmetric in x_2..x_n, n <= 5: rational multiples of
+    x_1^a * e_k(x_2..x_n)."""
+    n = draw(st.integers(2, 5))
+    p1 = Polynomial.zero(n)
+    for _ in range(draw(st.integers(0, 4))):
+        a, k = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
+        p1 = p1 + Polynomial.variable(n, 1) ** a * e_without_x1(n, k) * draw(rationals)
+    return p1
+
+
+@settings(max_examples=100, deadline=None)
+@given(u1_coordinates())
+def test_spread_is_the_invariant_element_with_that_u1(p1):
+    w = invariants._spread(p1)
+    assert w.upart[0] == p1 and w.vpart_is_zero()
+    for sigma in sn_generators(p1.nvars):
+        assert apply_perm_wreath(sigma, w) == w
 
 
 def rational_lie_element(rng, n):

@@ -44,11 +44,12 @@ from metabelian import (
     sum_of_variables,
     verify_module_relation,
 )
-from metabelian import invariants, linalg
+from metabelian import invariants, linalg, polynomials
 from metabelian.invariants import weighted_exponent_vectors
 from metabelian.linalg import solve_exact
 from helpers import (
     U1_PERTURBATIONS,
+    perturb_embedding,
     perturb_u1,
     random_fraction,
     random_homogeneous_commutator,
@@ -339,6 +340,61 @@ def test_decompose_outside_the_eps_span_is_an_internal_error(monkeypatch, extra)
     with pytest.raises(InternalConsistencyError) as err:
         decompose_invariant(generator_h_lie(3, 1, 2))
     assert str(err.value) == "degree-3 component is outside the span of the eps_j generators"
+
+
+@pytest.mark.parametrize("extra", U1_PERTURBATIONS.values(), ids=U1_PERTURBATIONS)
+def test_a_corrupted_embedding_is_caught_as_not_invariant(monkeypatch, extra):
+    perturb_embedding(monkeypatch, extra)
+    with pytest.raises(InvarianceError) as err:
+        decompose_invariant(generator_h_lie(3, 1, 2))
+    assert str(err.value) == "element is not invariant: moved by (1 2)"
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a pass-through that appends to the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_decompose_embeds_once_and_tests_invariance_in_the_wreath_product(monkeypatch):
+    n = 4
+    f = sum_of_variables(n) * 2 + generator_h_lie(n, 1, 2)
+    f = f + ad_action(generator_h_lie(n, 1, 3), elementary_symmetric(n, 1))
+    assert len(f.degrees()) == 3
+    embeds = counting(monkeypatch, invariants, "embed")
+    lie_actions = counting(monkeypatch, invariants, "apply_perm_lie")
+    assert decompose_invariant(f).verify(f)
+    assert (len(embeds), len(lie_actions)) == (1, 0)
+
+
+def test_a_cold_generator_h_is_one_sum_of_products(monkeypatch):
+    for cached in (generator_h, epsilon, elementary_symmetric):
+        cached.cache_clear()
+    products = counting(monkeypatch, polynomials, "sum_of_products")
+    monkeypatch.setattr(invariants, "sum_of_products", polynomials.sum_of_products)
+    generator_h(5, 2, 4)
+    assert len(products) == 1
+
+
+def test_the_self_check_catches_a_wrong_weighted_kernel_split(monkeypatch):
+    solve = invariants.solve_weighted_kernel
+
+    def doubled(c):
+        betas = solve(c)
+        jk = min(betas)
+        betas[jk] *= 2
+        return betas
+
+    monkeypatch.setattr(invariants, "solve_weighted_kernel", doubled)
+    with pytest.raises(InternalConsistencyError) as err:
+        decompose_invariant(generator_h_lie(3, 1, 2))
+    assert str(err.value) == "reassembled decomposition does not match the input"
 
 
 def test_decompose_uses_no_linear_algebra(monkeypatch):

@@ -10,12 +10,17 @@ from metabelian import (
     DimensionError,
     EDecomposition,
     InvarianceError,
+    LieElement,
     Permutation,
     Polynomial,
+    RankError,
     Rational,
+    WreathElement,
     decompose_in_elementary,
     elementary_symmetric,
     expand_e_monomial,
+    hilbert_function,
+    invariant_space_basis,
     is_symmetric,
     reynolds_poly,
     symmetry_violation,
@@ -68,6 +73,29 @@ def test_exponents_must_be_nonnegative_ints(mono):
         Polynomial(2, {mono: 1})
     with pytest.raises(DimensionError):
         Polynomial.monomial(2, mono)
+
+
+NON_INT_CALLS = {
+    "Polynomial(2.0)": (lambda: Polynomial(2.0), RankError),
+    "Polynomial(True)": (lambda: Polynomial(True), RankError),
+    "Polynomial(2.0, terms)": (lambda: Polynomial(2.0, {(1, 0): 1}), RankError),
+    "WreathElement(2.0)": (lambda: WreathElement(2.0), RankError),
+    "LieElement(2.5)": (lambda: LieElement(2.5), RankError),
+    "elementary_symmetric(3.0, 1)": (lambda: elementary_symmetric(3.0, 1), RankError),
+    "elementary_symmetric(3, 1.0)": (lambda: elementary_symmetric(3, 1.0), RankError),
+    "invariant_space_basis(3.0, 3)": (lambda: invariant_space_basis(3.0, 3), RankError),
+    "hilbert_function(3, 2.5)": (lambda: hilbert_function(3, 2.5), RankError),
+    "x1 ** 1.5": (lambda: x(2, 1) ** 1.5, DimensionError),
+    "x1 ** 2.0": (lambda: x(2, 1) ** 2.0, DimensionError),
+}
+
+
+@pytest.mark.parametrize("call, error", NON_INT_CALLS.values(), ids=NON_INT_CALLS)
+def test_ranks_degrees_and_powers_must_be_ints(call, error):
+    # the int call fills the cache first: 3.0 must not be served the entry for 3
+    elementary_symmetric(3, 1)
+    with pytest.raises(error):
+        call()
 
 
 def test_elementary_symmetric_small():
