@@ -13,6 +13,12 @@ class RankError(AlgebraError):
     """A variable or generator index lies outside the allowed range."""
 
 
+def _require_ints(*values):
+    """Raise RankError unless the ranks, indices and degrees are all ints."""
+    if any(type(v) is not int for v in values):
+        raise RankError(f"ranks, indices and degrees must be ints, got {values}")
+
+
 class DomainError(AlgebraError):
     """The operation is undefined for the given element."""
 

@@ -14,8 +14,8 @@ polynomials in e_1, ..., e_n.
 
 The embedding is injective and S_n-equivariant, so an invariant element
 sum_i u_i p_i is fixed by its u_1-coordinate p_1 (p_sigma(1) = sigma * p_1),
-which is symmetric in x_2..x_n: invariants are built on u_1 and spread, and
-checked on u_1 only.
+which is symmetric in x_2..x_n: invariants are built on u_1 and spread,
+checked on u_1 only, and read back into Lie form off u_1.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     KernelError,
     RankError,
 )
-from .lie import BasisCommutator, LieElement, ad_action, apply_perm_lie, sum_of_actions
+from .lie import BasisCommutator, LieElement, _factors, _new, ad_action, apply_perm_lie
 from .linalg import _integer_rows, _reduce
 from .permutations import Permutation, group_average, moving_generator
 from .polynomials import (
@@ -57,6 +57,7 @@ _ONE = Fraction(1)
 
 def sum_of_variables(n: int) -> LieElement:
     """x_1 + ... + x_n, the unique invariant outside the commutator ideal."""
+    _require_ints(n)
     return LieElement(n, (_ONE,) * n)
 
 
@@ -66,6 +67,24 @@ def _spread(p1: Polynomial) -> WreathElement:
     n = p1.nvars
     swaps = (Permutation.transposition(n, 1, k) for k in range(2, n + 1))
     return WreathElement(n, (p1, *(p1.apply_perm(sigma) for sigma in swaps)))
+
+
+def _lie_from_u1(p1: Polynomial) -> LieElement:
+    """The commutator-ideal invariant with u_1-coordinate p1, read off: the
+    coefficient of [x_a, x_m, tail] (content M, m = min M, a > m) is its
+    embedded u_a at M/x_a = (1 a)mono, for the term mono = (1 a)M - delta_1
+    of p1.  Each commutator comes from one term, so nothing is accumulated."""
+    n = p1.nvars
+    comm = {}
+    for mono, coeff in p1.terms.items():
+        for a in range(2, n + 1):
+            content = list(mono)
+            content[0], content[a - 1] = mono[a - 1], mono[0]
+            m = next((i for i, e in enumerate(content, 1) if e), a)
+            if m < a:
+                content[m - 1] -= 1
+                comm[_new(BasisCommutator, (a, m, _factors(content)))] = coeff
+    return LieElement._wrap(n, (_ZERO,) * n, comm)
 
 
 # typed caches, so that a float equal to a cached int reaches the check
@@ -88,6 +107,7 @@ def polarized_elementary(n: int, p: int, q: int) -> Polynomial:
     with each group strictly increasing; u-variables occupy the first n
     slots of the ring.
     """
+    _require_ints(n, p, q)
     if p < 0 or q < 0 or p + q <= 0 or p + q > n:
         raise DomainError(f"bidegree ({p}, {q}) outside 0 < p+q <= {n}")
     terms = {}
@@ -203,11 +223,15 @@ class InvariantDecomposition:
         """(i, j, EDecomposition) triples in lexicographic pair order."""
         return [(i, j, self.parts[(i, j)]) for (i, j) in sorted(self.parts)]
 
-    def reconstruct(self) -> LieElement:
-        """Evaluate the certificate back to a canonical Lie element."""
+    def _u1(self) -> Polynomial:
+        """The u_1-coordinate of the embedded commutator part, sum h_ij * q_ij."""
         n = self.n
-        pairs = [(generator_h_lie(n, i, j).comm, q.expand()) for i, j, q in self.items()]
-        return LieElement._wrap(n, (self.f1_coeff,) * n, sum_of_actions(n, pairs).comm)
+        pairs = [(generator_h(n, i, j).upart[0], q.expand()) for i, j, q in self.items()]
+        return sum_of_products(n, pairs)
+
+    def reconstruct(self) -> LieElement:
+        """Evaluate the certificate back to a canonical Lie element, read off u_1."""
+        return LieElement._wrap(self.n, (self.f1_coeff,) * self.n, _lie_from_u1(self._u1()).comm)
 
     def verify(self, f: LieElement) -> bool:
         return self.reconstruct() == f
@@ -222,9 +246,10 @@ class InvariantDecomposition:
         return self.to_text()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def weighted_exponent_vectors(n: int, m: int):
     """All (b_1, ..., b_n) with nonnegative entries and sum k*b_k = m."""
+    _require_ints(n, m)
     if n == 0:
         return ((),) if m == 0 else ()
     out = []
@@ -247,6 +272,16 @@ def _e_prime(n: int, m: int) -> Polynomial:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
+def _e_prime_monomial(n: int, c: tuple) -> Polynomial:
+    """The e-monomial of x_2..x_n with exponents c, in K[x_1, e_1..e_n]."""
+    result = Polynomial.one(n + 1)
+    for m, mult in enumerate(c, start=1):
+        if mult:
+            result = result * _e_prime(n, m) ** mult
+    return read_only(result)
+
+
 def _module_coordinates(p1: Polynomial, d: int):
     """The (j, b, gamma) with p1 = sum_j e_{j-1}(x_2..x_n) * sum_b gamma * e^b.
 
@@ -254,9 +289,10 @@ def _module_coordinates(p1: Polynomial, d: int):
     d - 1 symmetric in x_2..x_n; a term of another degree or a coefficient
     that is not symmetric is outside the span of the eps_j.  Grouped by the
     power of x_1, each coefficient is a polynomial in the e_k(x_2..x_n);
-    substituting those in K[x_1, e_1..e_n] and dividing from the top
-    x_1-degree k down by e_m(x_2..x_n), m = min(k, n), both reduces x_1^k for
-    k >= n and peels off r_{k+1} for k < n.  The Chevalley basis
+    one sum of products of their cached monomials in K[x_1, e_1..e_n] by
+    x_1^k and dividing from the top x_1-degree k down by e_m(x_2..x_n),
+    m = min(k, n), both reduce x_1^k for k >= n and peel off r_{k+1} for
+    k < n.  The Chevalley basis
     1, x_1, ..., x_1^(n-1) of the S_(n-1)-invariants over the symmetric
     polynomials makes the r_j unique.
     """
@@ -269,15 +305,16 @@ def _module_coordinates(p1: Polynomial, d: int):
     groups = {}
     for mono, coeff in p1.terms.items():
         groups.setdefault(mono[0], {})[mono[1:]] = coeff
-    e_prime = [_e_prime(n, m) for m in range(n + 1)]
-    work = Polynomial.zero(n + 1)
+    pairs = []
     for k, group in groups.items():
         try:
             g = decompose_in_elementary(Polynomial(n - 1, group))
         except InvarianceError:
             raise outside from None
-        shift = Polynomial.monomial(n + 1, (k,) + (0,) * n)
-        work = work + shift * g.substitute(e_prime[1:n])
+        x1k = Polynomial.monomial(n + 1, (k,) + (0,) * n)
+        pairs += [(_e_prime_monomial(n, c), x1k * coeff) for c, coeff in g.terms.items()]
+    work = sum_of_products(n + 1, pairs)
+    e_prime = [_e_prime(n, m) for m in range(n + 1)]
     out = []
     for k in range(max((mono[0] for mono in work.terms), default=-1), -1, -1):
         top = {mono[1:]: c for mono, c in work.terms.items() if mono[0] == k}
@@ -351,9 +388,8 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     result = InvariantDecomposition(
         n, f1_coeff, {pair: EDecomposition(n, terms) for pair, terms in parts_acc.items()}
     )
-    pairs = [(generator_h(n, i, j).upart[0], q.expand()) for i, j, q in result.items()]
     # both sides are invariant with zero v-part, so equal u_1 means equal elements
-    if sum_of_products(n, pairs).terms != u1:
+    if result._u1().terms != u1:
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result
 

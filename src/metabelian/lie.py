@@ -16,8 +16,7 @@ rearrangement [a, b, c] = [a, c, b] - [b, c, a], which ``_ad`` applies at most
 once per monomial.  ``sum_of_actions``, the twin of ``sum_of_products``, is
 the one loop that acts on basis commutators by polynomials and adds up, on
 integer numerators over one common denominator: ``ad_action``, the mixed part
-of ``bracket``, the wreath ``preimage`` and the reassembly of an invariant
-decomposition run on it.
+of ``bracket`` and the wreath ``preimage`` run on it.
 
 A permutation of the variables only moves basis commutators and flips signs,
 so ``apply_perm_lie`` never multiplies coefficients and keeps their type; the
@@ -162,6 +161,7 @@ class LieElement:
 
     @classmethod
     def variable(cls, n: int, k: int) -> "LieElement":
+        _require_ints(n, k)
         if not 1 <= k <= n:
             raise RankError(f"variable index {k} outside 1..{n}")
         return cls(n, unit_vector(n, k - 1))

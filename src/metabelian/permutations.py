@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations as _all_tuples
 from math import factorial, lcm
 
-from .errors import ParseError, RankError, ResourceGuardError
+from .errors import ParseError, RankError, ResourceGuardError, _require_ints
 
 # Full enumeration is used for Reynolds averaging.  At n = 8 its 40320
 # permutations take about 0.7 s for a 3-term degree-6 input (Python 3.11 on
@@ -45,10 +45,12 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _require_ints(n)
         return cls(range(1, n + 1))
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
+        _require_ints(n, a, b)
         if not (1 <= a <= n and 1 <= b <= n):
             raise RankError(f"transposition ({a} {b}) does not fit degree {n}")
         images = list(range(1, n + 1))
@@ -58,6 +60,7 @@ class Permutation:
     @classmethod
     def full_cycle(cls, n: int) -> "Permutation":
         """The n-cycle (1 2 ... n), mapping i to i + 1 and n to 1."""
+        _require_ints(n)
         return cls(list(range(2, n + 1)) + [1])
 
     @property
@@ -124,6 +127,7 @@ def sn_generators(n: int):
 
 def enumerate_sn(n: int):
     """Yield every permutation of {1, ..., n} exactly once (n! of them)."""
+    _require_ints(n)
     if n < 1:
         raise RankError(f"degree must be positive, got {n}")
     if n > ENUMERATION_CAP:

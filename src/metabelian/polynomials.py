@@ -9,15 +9,14 @@ elementary-symmetric reduction is graded lexicographic with x1 > x2 > ... > xn.
 fraction-free, over one common denominator taken before any product, with
 the integer numerators multiplied and accumulated as Python ints and each
 output coefficient made a Fraction once.  ``Polynomial.__mul__`` is its
-one-pair case, and sums of products (u_1 of a module generator h_ij, the u_1
-self-check of a decomposition, the expansion of an e-polynomial) run on it
-directly instead of adding Fraction polynomials pair by pair.
+one-pair case; u_1 of h_ij, u_1 of a decomposition (self-check, reconstruct),
+its module coordinates and the expansion of an e-polynomial run on it directly.
 
 Besides ring arithmetic this module provides the elementary symmetric
 polynomials, the symmetry test on the two standard generators of S_n, the
 group-averaging projector, and the rewriting of a symmetric polynomial as a
-polynomial in e_1, ..., e_n (which is unique because the e_k are algebraically
-independent).
+polynomial in e_1, ..., e_n (unique, as the e_k are algebraically independent)
+by leading-term reduction of its coefficients at partitions alone.
 """
 
 from __future__ import annotations
@@ -26,15 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from operator import add
+from operator import add, sub
 from types import MappingProxyType
 
-from .errors import (
-    DimensionError,
-    InternalConsistencyError,
-    InvarianceError,
-    RankError,
-)
+from .errors import DimensionError, InvarianceError, RankError, _require_ints
 from .permutations import Permutation, group_average, moving_generator
 
 Rational = Fraction
@@ -50,12 +44,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def _require_ints(*values):
-    """Raise RankError unless the ranks, indices and degrees are all ints."""
-    if any(type(v) is not int for v in values):
-        raise RankError(f"ranks, indices and degrees must be ints, got {values}")
 
 
 def unit_vector(length: int, index: int):
@@ -206,6 +194,7 @@ class Polynomial:
     @classmethod
     def variable(cls, nvars: int, k: int) -> "Polynomial":
         """The variable x_k (1-based)."""
+        _require_ints(nvars, k)
         if not 1 <= k <= nvars:
             raise RankError(f"variable index {k} outside 1..{nvars}")
         return cls(nvars, {unit_vector(nvars, k - 1): _ONE})
@@ -230,12 +219,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def leading_monomial(self):
-        """Graded-lex largest exponent vector, or None for zero."""
-        if not self.terms:
-            return None
-        return max(self.terms, key=grlex_key)
 
     # ring operations
 
@@ -400,10 +383,13 @@ def reynolds_poly(p: Polynomial) -> Polynomial:
 
 def expand_e_monomial(n: int, exponents) -> Polynomial:
     """Expand e_1^{a_1} * ... * e_n^{a_n} into the plain polynomial ring."""
-    return _expand_e_monomial(n, tuple(exponents))
+    exponents = tuple(exponents)
+    # checked before the cache, which would serve (1.0,) the entry for (1,)
+    _require_ints(n, *exponents)
+    return _expand_e_monomial(n, exponents)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _expand_e_monomial(n: int, exponents: tuple) -> Polynomial:
     if len(exponents) != n:
         raise DimensionError(f"exponent vector {exponents} has wrong length for rank {n}")
@@ -443,30 +429,36 @@ class EDecomposition(Polynomial):
         return super().to_text(names or default_names(self.n, prefix="e"))
 
 
+def _is_partition(exponents) -> bool:
+    return all(a >= b for a, b in zip(exponents, exponents[1:]))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _partition_part(n: int, evec: tuple):
+    """The terms of expand_e_monomial(n, evec) at partitions, as a tuple of
+    (exponent vector, int) pairs (e-monomials have integer coefficients)."""
+    terms = expand_e_monomial(n, evec).terms
+    return tuple((m, c.numerator) for m, c in terms.items() if _is_partition(m))
+
+
 def decompose_in_elementary(p: Polynomial) -> EDecomposition:
     """Rewrite a symmetric polynomial as a polynomial in e_1, ..., e_n.
 
-    Classical leading-term reduction: the graded-lex leading exponent of a
-    symmetric polynomial is a partition (l_1 >= ... >= l_n), and the product
-    e_1^{l_1 - l_2} ... e_n^{l_n} has that same leading monomial with
-    coefficient 1, so subtracting strictly lowers the leading term.
+    Classical leading-term reduction on the coefficients at partitions
+    (l_1 >= ... >= l_n), which fix a symmetric polynomial and hold its
+    graded-lex leader: e_1^{l_1 - l_2} ... e_n^{l_n} has that leader with
+    coefficient 1, so subtracting its cached partition part lowers it.
     """
     sigma = symmetry_violation(p)
     if sigma is not None:
         raise InvarianceError(f"polynomial is not symmetric: moved by {sigma}", sigma)
     n = p.nvars
-    remaining = p
+    remaining = {m: c for m, c in p.terms.items() if _is_partition(m)}
     out = {}
-    while not remaining.is_zero():
-        lead = remaining.leading_monomial()
-        if any(lead[i] < lead[i + 1] for i in range(n - 1)):
-            raise InternalConsistencyError(
-                f"leading exponent {lead} of a symmetric polynomial is not a partition"
-            )
-        coeff = remaining.terms[lead]
-        evec = tuple(
-            lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n)
-        )
+    while remaining:
+        lead = max(remaining, key=grlex_key)
+        coeff = remaining[lead]
+        evec = tuple(map(sub, lead, lead[1:] + (0,)))
         out[evec] = coeff
-        remaining = remaining - expand_e_monomial(n, evec) * coeff
+        add_terms(remaining, ((m, -c * coeff) for m, c in _partition_part(n, evec)))
     return EDecomposition(n, out)

@@ -18,13 +18,18 @@ commutator and takes the kernel of sigma - 1 over the two generators of S_n
 with ``linalg.nullspace``; and ``decompose_invariant`` builds, per degree,
 every column eps_j * e^b as wreath coordinates and solves for the embedded
 component with ``linalg.solve_exact``, after the Lie-side invariance test and
-before the self-check on all n u-coordinates.  Both ``linalg`` functions are
+before the self-check on all n u-coordinates; ``decompose_in_elementary``
+reduces the whole x-expanded polynomial by whole expanded e-monomials (its
+leader taken inline, as the removed ``Polynomial.leading_monomial`` did), and
+``reconstruct`` evaluates a decomposition through ``sum_of_actions`` on the
+Lie forms ``generator_h_lie``.  Both ``linalg`` functions are
 looked up at call time so that a test can swap in the Fraction versions above.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
 integer sums of actions, fraction-free products, sums of products and S_n
 average, single-pass preimage, fraction-free integer elimination,
 constructive invariant basis, generators and relations built and checked on
-u_1, and structured decomposition to return exactly what these return.
+u_1, partition-shaped elimination, reconstruction read off u_1 and
+structured decomposition to return exactly what these return.
 """
 
 from __future__ import annotations
@@ -44,11 +49,12 @@ from metabelian.errors import (
 )
 from metabelian.invariants import (
     InvariantDecomposition,
+    generator_h_lie,
     invariance_violation,
     solve_weighted_kernel,
     weighted_exponent_vectors,
 )
-from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, grade
+from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, grade, sum_of_actions
 from metabelian.permutations import enumerate_sn, sn_generators
 from metabelian.polynomials import (
     EDecomposition,
@@ -59,6 +65,7 @@ from metabelian.polynomials import (
     expand_e_monomial,
     grlex_key,
     sum_of_products,
+    symmetry_violation,
 )
 from metabelian.wreath import WreathElement, embed
 
@@ -537,3 +544,39 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     if check != embed(fc):
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result
+
+
+def decompose_in_elementary(p: Polynomial) -> EDecomposition:
+    """Rewrite a symmetric polynomial as a polynomial in e_1, ..., e_n.
+
+    Classical leading-term reduction: the graded-lex leading exponent of a
+    symmetric polynomial is a partition (l_1 >= ... >= l_n), and the product
+    e_1^{l_1 - l_2} ... e_n^{l_n} has that same leading monomial with
+    coefficient 1, so subtracting strictly lowers the leading term.
+    """
+    sigma = symmetry_violation(p)
+    if sigma is not None:
+        raise InvarianceError(f"polynomial is not symmetric: moved by {sigma}", sigma)
+    n = p.nvars
+    remaining = p
+    out = {}
+    while not remaining.is_zero():
+        lead = max(remaining.terms, key=grlex_key)
+        if any(lead[i] < lead[i + 1] for i in range(n - 1)):
+            raise InternalConsistencyError(
+                f"leading exponent {lead} of a symmetric polynomial is not a partition"
+            )
+        coeff = remaining.terms[lead]
+        evec = tuple(
+            lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n)
+        )
+        out[evec] = coeff
+        remaining = remaining - expand_e_monomial(n, evec) * coeff
+    return EDecomposition(n, out)
+
+
+def reconstruct(dec: InvariantDecomposition) -> LieElement:
+    """Evaluate the certificate back to a canonical Lie element."""
+    n = dec.n
+    pairs = [(generator_h_lie(n, i, j).comm, q.expand()) for i, j, q in dec.items()]
+    return LieElement._wrap(n, (dec.f1_coeff,) * n, sum_of_actions(n, pairs).comm)

@@ -25,6 +25,8 @@ from helpers import (
 from metabelian import (
     BasisCommutator,
     EDecomposition,
+    InvarianceError,
+    InvariantDecomposition,
     LieElement,
     MembershipError,
     Permutation,
@@ -50,7 +52,7 @@ from metabelian import (
     sum_of_variables,
     verify_module_relation,
 )
-from metabelian import invariants, lie, linalg, wreath
+from metabelian import invariants, lie, linalg, polynomials, wreath
 from metabelian.invariants import weighted_exponent_vectors
 from metabelian.lie import _ad, _factors, sum_of_actions
 from metabelian.linalg import nullspace, solve_exact
@@ -394,14 +396,14 @@ def test_ad_action_does_no_fraction_arithmetic_per_term_pair(monkeypatch):
 
 
 def test_act_and_accumulate_loops_run_on_sum_of_actions(monkeypatch):
-    """ad_action, bracket with a commutator part, preimage and reconstruct
-    each make exactly one sum_of_actions call, and wreath has no private
-    copy of the ad-action rule."""
+    """ad_action, bracket with a commutator part and preimage each make
+    exactly one sum_of_actions call, reconstruct reads off u_1 and makes
+    none, and wreath has no private copy of the ad-action rule."""
     n = 4
     h = generator_h_lie(n, 1, 2)
     f = ad_action(h, elementary_symmetric(n, 1)) + generator_h_lie(n, 1, 3) * 2
     dec = decompose_invariant(f)
-    assert dec.reconstruct() == f  # and fills the generator_h_lie cache
+    assert dec.reconstruct() == f
     assert len(dec.parts) == 2
     calls = []
 
@@ -410,7 +412,8 @@ def test_act_and_accumulate_loops_run_on_sum_of_actions(monkeypatch):
         return kernel(n, pairs)
 
     kernel = lie.sum_of_actions
-    for mod in (lie, wreath, invariants):
+    assert not hasattr(invariants, "sum_of_actions")
+    for mod in (lie, wreath):
         monkeypatch.setattr(mod, "sum_of_actions", counted)
 
     def kernel_calls(fn, *args):
@@ -422,7 +425,7 @@ def test_act_and_accumulate_loops_run_on_sum_of_actions(monkeypatch):
     assert kernel_calls(bracket, h, LieElement.variable(n, 1)) == 1
     assert kernel_calls(bracket, LieElement.variable(n, 2), h) == 1
     assert kernel_calls(preimage, generator_h(n, 1, 3)) == 1
-    assert kernel_calls(dec.reconstruct) == 1
+    assert kernel_calls(dec.reconstruct) == 0
     assert not hasattr(wreath, "_ad") and not hasattr(wreath, "_factors")
 
 
@@ -586,3 +589,66 @@ def test_structured_decompose_matches_the_reference_solve(f):
     fast = decompose_invariant(f)
     assert fast.to_text() == ref.decompose_invariant(f).to_text()
     assert fast.verify(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_combinations())
+def test_reconstruct_read_off_u1_matches_the_reference_actions(f):
+    dec = decompose_invariant(f)
+    out = dec.reconstruct()
+    assert out == ref.reconstruct(dec) == f
+    assert out.to_text() == f.to_text()
+    assert all(type(c) is Fraction for c in fraction_coefficients(out))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_read_off_from_u1_gives_every_generator_lie(n):
+    for i, j in combinations(range(1, n + 1), 2):
+        h = generator_h(n, i, j)
+        out = invariants._lie_from_u1(h.upart[0])
+        assert out == generator_h_lie(n, i, j) == ref.preimage(h)
+        assert out.to_text() == generator_h_lie(n, i, j).to_text()
+
+
+def test_verify_rejects_a_decomposition_with_one_part_doubled():
+    n = 4
+    f = ad_action(generator_h_lie(n, 1, 2), elementary_symmetric(n, 1))
+    f = f + generator_h_lie(n, 1, 3) * Fraction(2, 3) + sum_of_variables(n)
+    dec = decompose_invariant(f)
+    assert dec.verify(f)
+    for pair, q in dec.parts.items():
+        doubled = InvariantDecomposition(n, dec.f1_coeff, {**dec.parts, pair: q * 2})
+        assert not doubled.verify(f)
+        assert doubled.reconstruct() == ref.reconstruct(doubled) != f
+
+
+@st.composite
+def symmetric_polynomials(draw):
+    """reynolds_poly of a random polynomial in n <= 5 variables, degree <= 4."""
+    n = draw(st.integers(1, 5))
+    p = random_polynomial(random.Random(draw(seeds)), n, 4, max_terms=5)
+    return reynolds_poly(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_polynomials())
+def test_partition_elimination_matches_the_full_expansion(p):
+    fast = polynomials.decompose_in_elementary(p)
+    slow = ref.decompose_in_elementary(p)
+    assert fast == slow
+    assert fast.to_text() == slow.to_text()
+    assert fast.expand() == p
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_partition_elimination_rejects_asymmetric_input_like_the_reference(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    p = random_polynomial(rng, n, 3) + Polynomial.variable(n, rng.randint(1, n))
+    p = p + Polynomial.variable(n, 1) ** 2 * Polynomial.variable(n, 2)
+    with pytest.raises(InvarianceError) as new:
+        polynomials.decompose_in_elementary(p)
+    with pytest.raises(InvarianceError) as old:
+        ref.decompose_in_elementary(p)
+    assert new.value.permutation == old.value.permutation is not None
+    assert str(new.value) == str(old.value)

@@ -373,6 +373,19 @@ def test_decompose_embeds_once_and_tests_invariance_in_the_wreath_product(monkey
     assert (len(embeds), len(lie_actions)) == (1, 0)
 
 
+def test_decompose_substitutes_nothing_cold_or_warm(monkeypatch):
+    n = 5
+    f = reynolds_lie(random_lie_element(random.Random(57), n, 7, comm_terms=3))
+    invariants._e_prime_monomial.cache_clear()
+    polynomials._partition_part.cache_clear()
+    substitutions = counting(monkeypatch, Polynomial, "substitute")
+    cold = decompose_invariant(f)
+    assert len(cold.parts) > 1 and invariants._e_prime_monomial.cache_info().currsize > 1
+    assert decompose_invariant(f).to_text() == cold.to_text()
+    assert cold.verify(f)
+    assert substitutions == []
+
+
 def test_a_cold_generator_h_is_one_sum_of_products(monkeypatch):
     for cached in (generator_h, epsilon, elementary_symmetric):
         cached.cache_clear()
@@ -530,13 +543,25 @@ CACHED_VALUES = [
         lambda: generator_h_lie(3, 1, 2),
         "-[x2,x1,x1] + [x2,x1,x2] - [x3,x1,x1] + [x3,x1,x3] - [x3,x2,x2] + [x3,x2,x3]",
     ),
+    # e_1(x2, x3) * e_2(x2, x3) in K[x_1, e_1, e_2, e_3], printed as x1..x4
+    (
+        lambda: invariants._e_prime_monomial(3, (1, 1)),
+        "-x1^3 + 2*x1^2*x2 - x1*x2^2 - x1*x3 + x2*x3",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "call, text",
     CACHED_VALUES,
-    ids=["elementary_symmetric", "expand_e_monomial", "epsilon", "generator_h", "generator_h_lie"],
+    ids=[
+        "elementary_symmetric",
+        "expand_e_monomial",
+        "epsilon",
+        "generator_h",
+        "generator_h_lie",
+        "_e_prime_monomial",
+    ],
 )
 def test_cached_values_reject_mutation(call, text):
     value = call()
@@ -557,4 +582,11 @@ def test_cached_values_reject_mutation(call, text):
     # values built later from the cached ones are unaffected as well
     generator_h.cache_clear()
     generator_h_lie.cache_clear()
-    assert generator_h_lie(3, 1, 2).to_text() == CACHED_VALUES[-1][1]
+    assert generator_h_lie(3, 1, 2).to_text() == CACHED_VALUES[4][1]
+
+
+def test_cached_partition_parts_are_tuples_of_int_terms():
+    part = polynomials._partition_part(3, (1, 1, 0))
+    assert part == (((2, 1, 0), 1), ((1, 1, 1), 3))
+    assert type(part) is tuple and all(type(t) is tuple and type(t[1]) is int for t in part)
+    assert polynomials._partition_part(3, (1, 1, 0)) is part

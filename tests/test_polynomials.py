@@ -22,9 +22,13 @@ from metabelian import (
     hilbert_function,
     invariant_space_basis,
     is_symmetric,
+    polarized_elementary,
     reynolds_poly,
+    sum_of_variables,
     symmetry_violation,
 )
+from metabelian.invariants import weighted_exponent_vectors
+from metabelian.permutations import enumerate_sn, sn_generators
 
 x = Polynomial.variable
 
@@ -87,13 +91,30 @@ NON_INT_CALLS = {
     "hilbert_function(3, 2.5)": (lambda: hilbert_function(3, 2.5), RankError),
     "x1 ** 1.5": (lambda: x(2, 1) ** 1.5, DimensionError),
     "x1 ** 2.0": (lambda: x(2, 1) ** 2.0, DimensionError),
+    "expand_e_monomial(3.0, (1, 0, 0))": (lambda: expand_e_monomial(3.0, (1, 0, 0)), RankError),
+    "expand_e_monomial(3, (1.0, 0, 0))": (lambda: expand_e_monomial(3, (1.0, 0, 0)), RankError),
+    "LieElement.variable(3, 1.0)": (lambda: LieElement.variable(3, 1.0), RankError),
+    "Polynomial.variable(3, 1.0)": (lambda: Polynomial.variable(3, 1.0), RankError),
+    "sn_generators(3.0)": (lambda: sn_generators(3.0), RankError),
+    "enumerate_sn(2.5)": (lambda: next(enumerate_sn(2.5)), RankError),
+    "Permutation.identity(2.0)": (lambda: Permutation.identity(2.0), RankError),
+    "Permutation.transposition(3, 1, 2.0)": (
+        lambda: Permutation.transposition(3, 1, 2.0),
+        RankError,
+    ),
+    "Permutation.full_cycle(3.0)": (lambda: Permutation.full_cycle(3.0), RankError),
+    "weighted_exponent_vectors(3.0, 2)": (lambda: weighted_exponent_vectors(3.0, 2), RankError),
+    "polarized_elementary(3.0, 1, 1)": (lambda: polarized_elementary(3.0, 1, 1), RankError),
+    "sum_of_variables(2.0)": (lambda: sum_of_variables(2.0), RankError),
 }
 
 
 @pytest.mark.parametrize("call, error", NON_INT_CALLS.values(), ids=NON_INT_CALLS)
 def test_ranks_degrees_and_powers_must_be_ints(call, error):
-    # the int call fills the cache first: 3.0 must not be served the entry for 3
+    # the int calls fill the caches first: 3.0 must not be served the entry for 3
     elementary_symmetric(3, 1)
+    expand_e_monomial(3, (1, 0, 0))
+    weighted_exponent_vectors(3, 2)
     with pytest.raises(error):
         call()
 
