@@ -14,15 +14,19 @@ polynomials in e_1, ..., e_n.
 
 The embedding is injective and S_n-equivariant, so an invariant element
 sum_i u_i p_i is fixed by its u_1-coordinate p_1 (p_sigma(1) = sigma * p_1),
-which is symmetric in x_2..x_n: invariants are built on u_1 and spread,
-checked on u_1 only, and read back into Lie form off u_1.
+which is symmetric in x_2..x_n: invariants are built on u_1, spread, checked
+and read back into Lie form off u_1, and decompose on an integer multiple of
+u_1 written in K[x_1, e_1..e_n], where its result is checked as well.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
+from operator import add
 
 from .errors import (
     DimensionError,
@@ -38,15 +42,18 @@ from .permutations import Permutation, group_average, moving_generator
 from .polynomials import (
     EDecomposition,
     Polynomial,
+    _add_products,
+    _integral,
+    _reduce_on_partitions,
     _require_ints,
     add_terms,
     as_fraction,
-    decompose_in_elementary,
     elementary_symmetric,
     expand_e_monomial,
     grlex_key,
     read_only,
     sum_of_products,
+    symmetry_violation,
     unit_vector,
 )
 from .wreath import WreathElement, apply_perm_wreath, embed, preimage
@@ -73,17 +80,18 @@ def _lie_from_u1(p1: Polynomial) -> LieElement:
     """The commutator-ideal invariant with u_1-coordinate p1, read off: the
     coefficient of [x_a, x_m, tail] (content M, m = min M, a > m) is its
     embedded u_a at M/x_a = (1 a)mono, for the term mono = (1 a)M - delta_1
-    of p1.  Each commutator comes from one term, so nothing is accumulated."""
+    of p1.  Each commutator comes from one term, so nothing is accumulated;
+    the contents are sliced from one factor tuple per term."""
     n = p1.nvars
     comm = {}
     for mono, coeff in p1.terms.items():
+        rest = _factors(mono)[mono[0]:]
         for a in range(2, n + 1):
-            content = list(mono)
-            content[0], content[a - 1] = mono[a - 1], mono[0]
-            m = next((i for i, e in enumerate(content, 1) if e), a)
-            if m < a:
-                content[m - 1] -= 1
-                comm[_new(BasisCommutator, (a, m, _factors(content)))] = coeff
+            ea = mono[a - 1]
+            s = bisect_left(rest, a)
+            content = (1,) * ea + rest[:s] + (a,) * mono[0] + rest[s + ea:]
+            if content and content[0] < a:
+                comm[_new(BasisCommutator, (a, content[0], content[1:]))] = coeff
     return LieElement._wrap(n, (_ZERO,) * n, comm)
 
 
@@ -259,42 +267,63 @@ def weighted_exponent_vectors(n: int, m: int):
     return tuple(out)
 
 
-def _e_prime(n: int, m: int) -> Polynomial:
+def _e_prime(n: int, m: int):
     """e_m(x_2, ..., x_n) = sum_{i <= m} (-x_1)^i * e_{m-i} in K[x_1, e_1..e_n].
 
-    The ring is a Polynomial over n + 1 variables, x_1 first and e_q in slot
-    q.  The x_1-leading term is (-x_1)^m.  As x_2..x_n are n - 1 variables,
-    _e_prime(n, n) stands for zero: it is the relation
-    x_1^n = sum_q (-1)^(q+1) e_q x_1^(n-q).
+    Its (exponent vector, int) terms, x_1 first and e_q in slot q, end with
+    the x_1-leading (-x_1)^m.  As x_2..x_n are n - 1 variables, _e_prime(n, n)
+    stands for zero: the relation x_1^n = sum_q (-1)^(q+1) e_q x_1^(n-q).
     """
-    return Polynomial(
-        n + 1, {(i,) + unit_vector(n + 1, m - i)[1:]: (-1) ** i for i in range(m + 1)}
-    )
+    return tuple(((i,) + unit_vector(n + 1, m - i)[1:], (-1) ** i) for i in range(m + 1))
 
 
 @lru_cache(maxsize=None, typed=True)
 def _e_prime_monomial(n: int, c: tuple) -> Polynomial:
-    """The e-monomial of x_2..x_n with exponents c, in K[x_1, e_1..e_n]."""
-    result = Polynomial.one(n + 1)
+    """The e-monomial of x_2..x_n with exponents c, in K[x_1, e_1..e_n], on ints
+    (each term at x_1^s has the sign (-1)^s, so no product cancels)."""
+    terms = {(0,) * (n + 1): 1}
     for m, mult in enumerate(c, start=1):
-        if mult:
-            result = result * _e_prime(n, m) ** mult
-    return read_only(result)
+        for _ in range(mult):
+            terms = _add_products({}, ((terms.items(), _e_prime(n, m)),))
+    return read_only(Polynomial._wrap(n + 1, terms))
+
+
+def _peel(terms, n: int, low: int = 0):
+    """Divide the int map ``terms`` on K[x_1, e_1..e_n] from its top x_1-degree
+    k down to ``low`` by e_m(x_2..x_n), m = min(k, n), whose x_1-leading term
+    is (-x_1)^m; returns the quotient and the remainder as rows
+    {x_1-degree: {e-exponents: int}}.  Each quotient row is a row times +-1:
+    for k >= n it reduces modulo e_n(x_2..x_n) = 0, and for k < n it is the
+    coordinate of e_k(x_2..x_n)."""
+    rows = {}
+    for mono, v in terms.items():
+        if v:
+            rows.setdefault(mono[0], {})[mono[1:]] = v
+    quotients = {}
+    for k in range(max(rows, default=-1), low - 1, -1):
+        top = rows.pop(k, None)
+        if not top:
+            continue
+        m = min(k, n)
+        q = quotients[k] = top if m % 2 == 0 else {b: -c for b, c in top.items()}
+        for mono, v in _e_prime(n, m)[:-1]:
+            row = rows.setdefault(k - m + mono[0], {})
+            add_terms(row, ((tuple(map(add, b, mono[1:])), -v * c) for b, c in q.items()))
+    return quotients, rows
 
 
 def _module_coordinates(p1: Polynomial, d: int):
-    """The (j, b, gamma) with p1 = sum_j e_{j-1}(x_2..x_n) * sum_b gamma * e^b.
+    """The (j, b, gamma) with p1 = sum_j e_{j-1}(x_2..x_n) * sum_b gamma * e^b,
+    and the image of p1 in K[x_1, e_1..e_n].
 
     p1 is the u_1-coordinate of a degree-d invariant, a polynomial of degree
     d - 1 symmetric in x_2..x_n; a term of another degree or a coefficient
     that is not symmetric is outside the span of the eps_j.  Grouped by the
-    power of x_1, each coefficient is a polynomial in the e_k(x_2..x_n);
-    one sum of products of their cached monomials in K[x_1, e_1..e_n] by
-    x_1^k and dividing from the top x_1-degree k down by e_m(x_2..x_n),
-    m = min(k, n), both reduce x_1^k for k >= n and peel off r_{k+1} for
-    k < n.  The Chevalley basis
-    1, x_1, ..., x_1^(n-1) of the S_(n-1)-invariants over the symmetric
-    polynomials makes the r_j unique.
+    power of x_1, each coefficient is reduced on partitions to a polynomial
+    in the e_k(x_2..x_n); one sum of products of their cached monomials by
+    x_1^k is the image, which ``_peel`` divides from the top x_1-degree
+    down.  The Chevalley basis 1, x_1, ..., x_1^(n-1) of the
+    S_(n-1)-invariants over the symmetric polynomials makes the r_j unique.
     """
     n = p1.nvars
     outside = InternalConsistencyError(
@@ -307,66 +336,74 @@ def _module_coordinates(p1: Polynomial, d: int):
         groups.setdefault(mono[0], {})[mono[1:]] = coeff
     pairs = []
     for k, group in groups.items():
-        try:
-            g = decompose_in_elementary(Polynomial(n - 1, group))
-        except InvarianceError:
-            raise outside from None
-        x1k = Polynomial.monomial(n + 1, (k,) + (0,) * n)
-        pairs += [(_e_prime_monomial(n, c), x1k * coeff) for c, coeff in g.terms.items()]
-    work = sum_of_products(n + 1, pairs)
-    e_prime = [_e_prime(n, m) for m in range(n + 1)]
-    out = []
-    for k in range(max((mono[0] for mono in work.terms), default=-1), -1, -1):
-        top = {mono[1:]: c for mono, c in work.terms.items() if mono[0] == k}
-        if not top:
-            continue
-        m = min(k, n)
-        sign = (-1) ** m
-        quotient = Polynomial(n + 1, {(k - m,) + b: sign * c for b, c in top.items()})
-        work = work - quotient * e_prime[m]
-        if k < n:
-            out.extend((k + 1, b, sign * c) for b, c in top.items())
-    return out
+        if symmetry_violation(Polynomial._wrap(n - 1, group)) is not None:
+            raise outside
+        x1k = (k,) + (0,) * n
+        coords = _reduce_on_partitions(n - 1, group).items()
+        pairs += [(_e_prime_monomial(n, c).terms.items(), ((x1k, v),)) for c, v in coords]
+    image = _add_products({}, pairs)
+    quotients, _ = _peel(image, n)
+    return [(k + 1, b, c) for k, row in quotients.items() if k < n for b, c in row.items()], image
+
+
+def _matches_u1(dec: InvariantDecomposition, image, scale: int) -> bool:
+    """Whether the commutator part of ``dec`` has u_1-coordinate image / scale,
+    for an int map ``image`` on K[x_1, e_1..e_n].  There h_ij has u_1 =
+    j*e_{i-1}(x_2..x_n)*e_j - i*e_{j-1}(x_2..x_n)*e_i; the difference of the
+    sides, reduced modulo e_n(x_2..x_n) = 0 to x_1-degree < n, is unique in
+    the Chevalley basis, so it vanishes exactly when the two u_1 are equal."""
+    n = dec.n
+    den = lcm(*(c.denominator for q in dec.parts.values() for c in q.terms.values()))
+    residual = {mono: -den * v for mono, v in image.items()}
+    for i, j, q in dec.items():
+        h = _add_products({}, ((_e_prime(n, i - 1), ((unit_vector(n + 1, j), j),)),
+                               (_e_prime(n, j - 1), ((unit_vector(n + 1, i), -i),))))
+        scaled = [((0,) + b, c.numerator * (den * scale // c.denominator))
+                  for b, c in q.terms.items()]
+        _add_products(residual, ((h.items(), scaled),))
+    _, remainder = _peel(residual, n, n)
+    return not any(remainder.values())
 
 
 def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     """Decompose an invariant element over the module generators h_ij.
 
     The linear part must be a multiple of x_1 + ... + x_n and is peeled off.
+    The commutator part times the lcm L of its denominators is embedded once
+    and has int coefficients; invariance is tested on the embedded element.
     Per homogeneous degree d, the embedded component is sum_j eps_j * r_j
     with each r_j symmetric of weighted degree d - j, so its u_1-coordinate
     is sum_j e_{j-1}(x_2..x_n) * r_j; the r_j are peeled off that coordinate
-    in the Chevalley basis 1, x_1, ..., x_1^(n-1) over the symmetric
-    polynomials, from the top x_1-degree down (no linear solve).  Writing r_j's
-    coefficients against the exponent vector a obtained by bumping position
-    j, each fixed a satisfies sum_j j * alpha_{a,j} = 0, so the
-    weighted-kernel expansion converts the block into h_{j1,jk} terms with
-    e-monomial coefficients.  The input is embedded once: invariance is
-    tested on the embedded element, and the result is re-verified on u_1
-    before returning.
+    in K[x_1, e_1..e_n] (no linear solve).  Writing r_j's coefficients
+    against the exponent vector a obtained by bumping position j, each fixed
+    a satisfies sum_j j * alpha_{a,j} = 0, so the weighted-kernel expansion
+    converts the block into h_{j1,jk} terms with e-monomial coefficients,
+    divided by L once.  The result is checked on u_1 in K[x_1, e_1..e_n],
+    with no q_ij expanded, before returning.
     """
     n = f.n
-    w = embed(f)
+    scale, comm = _integral(f.comm)
+    w = embed(LieElement._wrap(n, f.linear, comm))
     violation = moving_generator(w, apply_perm_wreath, n)
     if violation is not None:
         raise InvarianceError(f"element is not invariant: moved by {violation}", violation)
     f1_coeff = f.linear[0]
     if any(v != f1_coeff for v in f.linear):
         raise InternalConsistencyError("invariant element with non-uniform linear part")
-    # u_1 without its constant term, the linear part, sliced by degree
-    u1 = {mono: c for mono, c in w.upart[0].terms.items() if any(mono)}
+    # L * u_1 without its constant term, the linear part, sliced by degree
     slices = {}
-    for mono, coeff in u1.items():
-        slices.setdefault(sum(mono) + 1, {})[mono] = coeff
+    for mono, coeff in w.upart[0].terms.items():
+        if any(mono):
+            slices.setdefault(sum(mono) + 1, {})[mono] = coeff
+    image = {}
     parts_acc = {}
     for d in sorted(slices):
+        coordinates, image_d = _module_coordinates(Polynomial._wrap(n, slices[d]), d)
+        image.update(image_d)
         alpha = {}
-        for j, b, gamma in _module_coordinates(Polynomial._wrap(n, slices[d]), d):
-            a = list(b)
-            a[j - 1] += 1
-            a = tuple(a)
-            vec = alpha.setdefault(a, [_ZERO] * n)
-            vec[j - 1] += gamma
+        for j, b, gamma in coordinates:
+            a = b[: j - 1] + (b[j - 1] + 1,) + b[j:]
+            alpha.setdefault(a, [0] * n)[j - 1] += gamma
         for a, cvec in sorted(alpha.items(), key=lambda kv: grlex_key(kv[0])):
             try:
                 betas = solve_weighted_kernel(cvec)
@@ -385,11 +422,10 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
                         f"negative e-exponent while splitting block {a}"
                     )
                 add_terms(parts_acc.setdefault((j1, jk), {}), ((tuple(newexp), beta),))
-    result = InvariantDecomposition(
-        n, f1_coeff, {pair: EDecomposition(n, terms) for pair, terms in parts_acc.items()}
-    )
-    # both sides are invariant with zero v-part, so equal u_1 means equal elements
-    if result._u1().terms != u1:
+    result = InvariantDecomposition(n, f1_coeff, {
+        pair: EDecomposition._wrap(n, {b: v / scale for b, v in terms.items()})
+        for pair, terms in parts_acc.items()})
+    if not _matches_u1(result, image, scale):
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result
 

@@ -5,18 +5,19 @@ to nonzero Fraction coefficients, so every identity in the library is checked
 exactly.  The monomial order used for canonical printing and for the
 elementary-symmetric reduction is graded lexicographic with x1 > x2 > ... > xn.
 
-``sum_of_products`` is the one product loop: it computes sum_k P_k * Q_k
-fraction-free, over one common denominator taken before any product, with
-the integer numerators multiplied and accumulated as Python ints and each
-output coefficient made a Fraction once.  ``Polynomial.__mul__`` is its
-one-pair case; u_1 of h_ij, u_1 of a decomposition (self-check, reconstruct),
-its module coordinates and the expansion of an e-polynomial run on it directly.
+``_add_products`` is the one product loop: it sums products of integer
+polynomials as Python ints.  ``sum_of_products`` computes sum_k P_k * Q_k on
+it fraction-free, over one common denominator taken before any product, and
+makes each output coefficient a Fraction once.  ``Polynomial.__mul__`` is its
+one-pair case; u_1 of h_ij, u_1 of a decomposition (reconstruct) and the
+expansion of an e-polynomial run on it directly, and the module coordinates
+and self-check of a decomposition run on the int loop itself.
 
 Besides ring arithmetic this module provides the elementary symmetric
 polynomials, the symmetry test on the two standard generators of S_n, the
 group-averaging projector, and the rewriting of a symmetric polynomial as a
 polynomial in e_1, ..., e_n (unique, as the e_k are algebraically independent)
-by leading-term reduction of its coefficients at partitions alone.
+by leading-term reduction of its coefficients at partitions alone, on ints.
 """
 
 from __future__ import annotations
@@ -73,6 +74,24 @@ def _denominator(terms) -> int:
     return lcm(*(c.denominator for c in terms.values()))
 
 
+def _integral(terms):
+    """(L, the map times L as ints) for L the lcm of a map's denominators."""
+    scale = _denominator(terms)
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
+
+
+def _add_products(acc, pairs):
+    """Add sum_k P_k * Q_k into the int map ``acc`` and return it, for P_k and
+    Q_k iterables of (exponent vector, int) pairs, Q_k re-iterable; a sum that
+    cancels stays as int 0."""
+    for p, q in pairs:
+        for m1, a in p:
+            for m2, b in q:
+                key = tuple(map(add, m1, m2))
+                acc[key] = acc.get(key, 0) + a * b
+    return acc
+
+
 def sum_of_products(nvars: int, pairs) -> "Polynomial":
     """sum_k P_k * Q_k over the (P_k, Q_k) in ``pairs``, in nvars variables.
 
@@ -90,14 +109,10 @@ def sum_of_products(nvars: int, pairs) -> "Polynomial":
             )
     den = lcm(*(dp * dq for _, _, dp, dq in pairs))
     acc = {}
-    for p, q, dp, dq in pairs:
-        scale = den // (dp * dq)
+    for p, q, _, dq in pairs:
+        left = [(m, c.numerator * (den // (dq * c.denominator))) for m, c in p.terms.items()]
         right = [(m, c.numerator * (dq // c.denominator)) for m, c in q.terms.items()]
-        for m1, c in p.terms.items():
-            a = c.numerator * (dp // c.denominator) * scale
-            for m2, b in right:
-                key = tuple(map(add, m1, m2))
-                acc[key] = acc.get(key, 0) + a * b
+        _add_products(acc, ((left, right),))
     return Polynomial._wrap(nvars, {m: Fraction(v, den) for m, v in acc.items() if v})
 
 
@@ -286,26 +301,6 @@ class Polynomial:
 
     # structural operations
 
-    def substitute(self, images) -> "Polynomial":
-        """Substitute x_k -> images[k-1]; all images share one target ring."""
-        images = list(images)
-        if len(images) != self.nvars:
-            raise DimensionError(
-                f"need {self.nvars} substitution images, got {len(images)}"
-            )
-        target = images[0].nvars
-        for img in images:
-            if img.nvars != target:
-                raise DimensionError("substitution images live in different rings")
-        total = Polynomial.zero(target)
-        for mono, coeff in self.terms.items():
-            term = Polynomial.constant(target, coeff)
-            for idx, e in enumerate(mono):
-                if e:
-                    term = term * images[idx] ** e
-            total = total + term
-        return total
-
     def apply_perm(self, sigma: Permutation) -> "Polynomial":
         """The ring automorphism induced by x_i -> x_{sigma(i)}."""
         if sigma.size != self.nvars:
@@ -441,19 +436,11 @@ def _partition_part(n: int, evec: tuple):
     return tuple((m, c.numerator) for m, c in terms.items() if _is_partition(m))
 
 
-def decompose_in_elementary(p: Polynomial) -> EDecomposition:
-    """Rewrite a symmetric polynomial as a polynomial in e_1, ..., e_n.
-
-    Classical leading-term reduction on the coefficients at partitions
-    (l_1 >= ... >= l_n), which fix a symmetric polynomial and hold its
-    graded-lex leader: e_1^{l_1 - l_2} ... e_n^{l_n} has that leader with
-    coefficient 1, so subtracting its cached partition part lowers it.
-    """
-    sigma = symmetry_violation(p)
-    if sigma is not None:
-        raise InvarianceError(f"polynomial is not symmetric: moved by {sigma}", sigma)
-    n = p.nvars
-    remaining = {m: c for m, c in p.terms.items() if _is_partition(m)}
+def _reduce_on_partitions(n: int, terms):
+    """The e-coordinates of the symmetric polynomial in n variables with terms
+    ``terms``, by leading-term reduction of its coefficients at partitions; a
+    partition part has 1 at its leader, so int coefficients stay ints."""
+    remaining = {m: c for m, c in terms.items() if _is_partition(m)}
     out = {}
     while remaining:
         lead = max(remaining, key=grlex_key)
@@ -461,4 +448,21 @@ def decompose_in_elementary(p: Polynomial) -> EDecomposition:
         evec = tuple(map(sub, lead, lead[1:] + (0,)))
         out[evec] = coeff
         add_terms(remaining, ((m, -c * coeff) for m, c in _partition_part(n, evec)))
-    return EDecomposition(n, out)
+    return out
+
+
+def decompose_in_elementary(p: Polynomial) -> EDecomposition:
+    """Rewrite a symmetric polynomial as a polynomial in e_1, ..., e_n.
+
+    Classical leading-term reduction on the coefficients at partitions
+    (l_1 >= ... >= l_n), which fix a symmetric polynomial and hold its
+    graded-lex leader: e_1^{l_1 - l_2} ... e_n^{l_n} has that leader with
+    coefficient 1, so subtracting its cached partition part lowers it.  It
+    runs on p times the lcm L of its denominators, divided by L once.
+    """
+    sigma = symmetry_violation(p)
+    if sigma is not None:
+        raise InvarianceError(f"polynomial is not symmetric: moved by {sigma}", sigma)
+    scale, terms = _integral(p.terms)
+    out = _reduce_on_partitions(p.nvars, terms)
+    return EDecomposition._wrap(p.nvars, {e: Fraction(v, scale) for e, v in out.items()})

@@ -22,14 +22,19 @@ before the self-check on all n u-coordinates; ``decompose_in_elementary``
 reduces the whole x-expanded polynomial by whole expanded e-monomials (its
 leader taken inline, as the removed ``Polynomial.leading_monomial`` did), and
 ``reconstruct`` evaluates a decomposition through ``sum_of_actions`` on the
-Lie forms ``generator_h_lie``.  Both ``linalg`` functions are
-looked up at call time so that a test can swap in the Fraction versions above.
+Lie forms ``generator_h_lie``; ``lie_from_u1`` reads a Lie form off u_1
+swapping and factoring the content once per term and index, ``u1_self_check``
+is decompose's old self-check on u_1 with every q_ij expanded in x_1..x_n,
+and ``substitute`` is the removed ``Polynomial.substitute``.  Both
+``linalg`` functions are looked up at call time so that a test can swap in
+the Fraction versions above.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
 integer sums of actions, fraction-free products, sums of products and S_n
 average, single-pass preimage, fraction-free integer elimination,
 constructive invariant basis, generators and relations built and checked on
-u_1, partition-shaped elimination, reconstruction read off u_1 and
-structured decomposition to return exactly what these return.
+u_1, partition-shaped elimination, reconstruction and tails read off u_1,
+structured decomposition and its self-check in K[x_1, e_1..e_n] to return
+exactly what these return.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from metabelian.invariants import (
     solve_weighted_kernel,
     weighted_exponent_vectors,
 )
-from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, grade, sum_of_actions
+from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, _new, grade, sum_of_actions
 from metabelian.permutations import enumerate_sn, sn_generators
 from metabelian.polynomials import (
     EDecomposition,
@@ -580,3 +585,47 @@ def reconstruct(dec: InvariantDecomposition) -> LieElement:
     n = dec.n
     pairs = [(generator_h_lie(n, i, j).comm, q.expand()) for i, j, q in dec.items()]
     return LieElement._wrap(n, (dec.f1_coeff,) * n, sum_of_actions(n, pairs).comm)
+
+
+def lie_from_u1(p1: Polynomial) -> LieElement:
+    """The commutator-ideal invariant with u_1-coordinate p1, read off: the
+    coefficient of [x_a, x_m, tail] (content M, m = min M, a > m) is its
+    embedded u_a at M/x_a = (1 a)mono, for the term mono = (1 a)M - delta_1
+    of p1, with the content swapped and factored per (term, a)."""
+    n = p1.nvars
+    comm = {}
+    for mono, coeff in p1.terms.items():
+        for a in range(2, n + 1):
+            content = list(mono)
+            content[0], content[a - 1] = mono[a - 1], mono[0]
+            m = next((i for i, e in enumerate(content, 1) if e), a)
+            if m < a:
+                content[m - 1] -= 1
+                comm[_new(BasisCommutator, (a, m, _factors(content)))] = coeff
+    return LieElement._wrap(n, (_ZERO,) * n, comm)
+
+
+def u1_self_check(dec: InvariantDecomposition, f: LieElement) -> bool:
+    """The x-expanded self-check: sum h_ij * q_ij, with every q_ij expanded
+    in x_1..x_n, equals u_1 of the embedded commutator part of f."""
+    u1 = {mono: c for mono, c in embed(f).upart[0].terms.items() if any(mono)}
+    return dec._u1().terms == u1
+
+
+def substitute(p: Polynomial, images) -> Polynomial:
+    """Substitute x_k -> images[k-1]; all images share one target ring."""
+    images = list(images)
+    if len(images) != p.nvars:
+        raise DimensionError(f"need {p.nvars} substitution images, got {len(images)}")
+    target = images[0].nvars
+    for img in images:
+        if img.nvars != target:
+            raise DimensionError("substitution images live in different rings")
+    total = Polynomial.zero(target)
+    for mono, coeff in p.terms.items():
+        term = Polynomial.constant(target, coeff)
+        for idx, e in enumerate(mono):
+            if e:
+                term = term * images[idx] ** e
+        total = total + term
+    return total

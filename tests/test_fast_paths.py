@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
@@ -569,17 +569,17 @@ def test_decompose_matches_the_reference_solve(monkeypatch, n, d):
 
 
 @st.composite
-def generator_combinations(draw):
-    """An invariant at rank n in 2..6: a rational multiple of x_1 + ... + x_n
-    plus rational multiples of h_ij * e^b in degrees 3..min(n + 1, 6), so
-    below, at and above n where the rank allows."""
-    n = draw(st.integers(2, 6))
+def generator_combinations(draw, max_n=6, coefficients=fractions):
+    """An invariant at rank n in 2..max_n: a rational multiple of
+    x_1 + ... + x_n plus multiples of h_ij * e^b in degrees 3..min(n + 1, 6),
+    so below, at and above n where the rank allows."""
+    n = draw(st.integers(2, max_n))
     f = sum_of_variables(n) * draw(fractions)
     for _ in range(draw(st.integers(1, 4))):
         d = draw(st.integers(3, min(n + 1, 6)))
         i, j = draw(st.sampled_from([p for p in combinations(range(1, n + 1), 2) if sum(p) <= d]))
         b = draw(st.sampled_from(weighted_exponent_vectors(n, d - i - j)))
-        f = f + ad_action(generator_h_lie(n, i, j), expand_e_monomial(n, b)) * draw(fractions)
+        f = f + ad_action(generator_h_lie(n, i, j), expand_e_monomial(n, b)) * draw(coefficients)
     return f
 
 
@@ -589,6 +589,73 @@ def test_structured_decompose_matches_the_reference_solve(f):
     fast = decompose_invariant(f)
     assert fast.to_text() == ref.decompose_invariant(f).to_text()
     assert fast.verify(f)
+
+
+# numerators prime to the denominators, so that the lcm L of the
+# commutator part's denominators exceeds 1 unless every term cancels
+scaled_fractions = st.builds(
+    Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from([5, 7, 11, 7907, 7919])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_combinations(max_n=5, coefficients=scaled_fractions))
+def test_integer_scaled_decompose_matches_the_reference_solve(f):
+    assume(polynomials._denominator(f.comm) > 1)
+    dec = decompose_invariant(f)
+    assert dec.to_text() == ref.decompose_invariant(f).to_text()
+    assert ref.u1_self_check(dec, f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_check_in_x1_and_e_rejects_a_dropped_term_and_a_rescaled_part(monkeypatch, n):
+    f = sum_of_variables(n) * Fraction(1, 3) + generator_h_lie(n, 1, 2) * Fraction(1, 7919)
+    f = f + ad_action(generator_h_lie(n, 1, 3), elementary_symmetric(n, 1) ** 2) * Fraction(-1, 7907)
+    f = f + ad_action(generator_h_lie(n, 2, 3), elementary_symmetric(n, 2)) * Fraction(2, 5)
+    seen, check = [], invariants._matches_u1
+    monkeypatch.setattr(invariants, "_matches_u1", lambda *args: seen.append(args) or check(*args))
+    dec = decompose_invariant(f)
+    [(_, image, scale)] = seen
+    assert scale % (7907 * 7919) == 0 and check(dec, image, scale)
+    wrong = []
+    for pair, q in dec.parts.items():
+        for b in q.terms:
+            dropped = EDecomposition(n, {c: v for c, v in q.terms.items() if c != b})
+            wrong.append({**dec.parts, pair: dropped})
+        wrong.append({**dec.parts, pair: q * (1 + Fraction(1, 2 * scale))})
+    assert len(wrong) > 3
+    for parts in wrong:
+        bad = InvariantDecomposition(n, dec.f1_coeff, parts)
+        assert not check(bad, image, scale)
+        assert not ref.u1_self_check(bad, f)
+
+
+EDGE_INPUTS = {
+    "zero": LieElement.zero(4),
+    "linear-only": sum_of_variables(4) * Fraction(-5, 3),
+    "rank-one": LieElement(1, (Fraction(2, 3),)),
+    "large-lcm": generator_h_lie(4, 1, 2) * Fraction(1, 7919)
+    + ad_action(generator_h_lie(4, 2, 3), elementary_symmetric(4, 1)) * Fraction(-1, 7907),
+    "moved-by-a-swap": generator_h_lie(3, 1, 2) * Fraction(1, 7919)
+    + LieElement.from_commutator(3, BasisCommutator(2, 1), Fraction(-1, 7907)),
+    "moved-by-the-cycle": generator_h_lie(3, 1, 2) * Fraction(1, 7919)
+    + LieElement(3, (Fraction(1, 7907), Fraction(1, 7907), 0)),
+}
+
+
+@pytest.mark.parametrize("f", EDGE_INPUTS.values(), ids=EDGE_INPUTS)
+def test_decompose_edge_inputs_like_the_reference(f):
+    if invariants.invariance_violation(f) is not None:
+        with pytest.raises(InvarianceError) as new:
+            decompose_invariant(f)
+        with pytest.raises(InvarianceError) as old:
+            ref.decompose_invariant(f)
+        assert new.value.permutation == old.value.permutation is not None
+        assert str(new.value) == str(old.value)
+        return
+    dec = decompose_invariant(f)
+    assert dec.to_text() == ref.decompose_invariant(f).to_text()
+    assert dec.verify(f) and ref.u1_self_check(dec, f)
 
 
 @settings(max_examples=30, deadline=None)
@@ -608,6 +675,15 @@ def test_read_off_from_u1_gives_every_generator_lie(n):
         out = invariants._lie_from_u1(h.upart[0])
         assert out == generator_h_lie(n, i, j) == ref.preimage(h)
         assert out.to_text() == generator_h_lie(n, i, j).to_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 6))
+def test_tails_read_off_u1_match_the_reference(seed, n):
+    p1 = random_polynomial(random.Random(seed), n, 5, max_terms=6)
+    fast, slow = invariants._lie_from_u1(p1), ref.lie_from_u1(p1)
+    assert fast == slow
+    assert fast.to_text() == slow.to_text()
 
 
 def test_verify_rejects_a_decomposition_with_one_part_doubled():

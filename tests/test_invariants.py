@@ -378,12 +378,33 @@ def test_decompose_substitutes_nothing_cold_or_warm(monkeypatch):
     f = reynolds_lie(random_lie_element(random.Random(57), n, 7, comm_terms=3))
     invariants._e_prime_monomial.cache_clear()
     polynomials._partition_part.cache_clear()
-    substitutions = counting(monkeypatch, Polynomial, "substitute")
+    # the e'-monomial images come from the int product loop; the generic
+    # substitution is a test reference only
+    assert not hasattr(Polynomial, "substitute")
+    products = counting(monkeypatch, invariants, "_add_products")
     cold = decompose_invariant(f)
     assert len(cold.parts) > 1 and invariants._e_prime_monomial.cache_info().currsize > 1
+    assert products
     assert decompose_invariant(f).to_text() == cold.to_text()
     assert cold.verify(f)
-    assert substitutions == []
+
+
+def test_a_warm_decompose_expands_no_part_and_embeds_once(monkeypatch):
+    n = 5
+    f = reynolds_lie(random_lie_element(random.Random(59), n, 7, comm_terms=3)) * Fraction(2, 7)
+    assert decompose_invariant(f).verify(f)
+    calls = [
+        counting(monkeypatch, owner, name)
+        for owner, name in (
+            (polynomials, "expand_e_monomial"),
+            (invariants, "expand_e_monomial"),
+            (InvariantDecomposition, "_u1"),
+            (invariants, "embed"),
+            (invariants, "apply_perm_lie"),
+        )
+    ]
+    assert len(decompose_invariant(f).parts) > 1
+    assert [len(c) for c in calls] == [0, 0, 0, 1, 0]
 
 
 def test_a_cold_generator_h_is_one_sum_of_products(monkeypatch):
