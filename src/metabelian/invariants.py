@@ -16,7 +16,11 @@ The embedding is injective and S_n-equivariant, so an invariant element
 sum_i u_i p_i is fixed by its u_1-coordinate p_1 (p_sigma(1) = sigma * p_1),
 which is symmetric in x_2..x_n: invariants are built on u_1, spread, checked
 and read back into Lie form off u_1, and decompose on an integer multiple of
-u_1 written in K[x_1, e_1..e_n], where its result is checked as well.
+u_1 written in K[x_1, e_1..e_n], where its result is checked as well.  Each
+Lie coefficient of an invariant is the value of p_1 on one orbit key
+(k, lambda), x_1^k times the S_(n-1)-orbit of a partition lambda on
+x_2..x_n, so invariance is tested in one pass over the Lie terms, and the
+key values are the coefficients at partitions that decompose reduces.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from itertools import accumulate, combinations
+from math import comb, factorial, lcm
 from operator import add
 
 from .errors import (
@@ -53,7 +57,6 @@ from .polynomials import (
     grlex_key,
     read_only,
     sum_of_products,
-    symmetry_violation,
     unit_vector,
 )
 from .wreath import WreathElement, apply_perm_wreath, embed, preimage
@@ -150,9 +153,110 @@ def generator_h_lie(n: int, i: int, j: int) -> LieElement:
     return read_only(preimage(generator_h(n, i, j)))
 
 
+def _orbit_key(c: BasisCommutator):
+    """The orbit key (k, lambda) of c = [x_a, x_m, tail] with content M: the
+    term (1 a)M - delta_1 of u_1 that c is read off (see ``_lie_from_u1``)
+    is x_1^k, k = M_a - 1, times an exponent vector on x_2..x_n with the
+    entries of M other than M_a, whose nonzero ones sorted decreasingly are
+    the partition lambda."""
+    a, m, tail = c
+    mult = {m: 1}
+    for t in tail:
+        mult[t] = mult.get(t, 0) + 1
+    k = mult.pop(a, 0)
+    return k, tuple(sorted(mult.values(), reverse=True))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _key_count(n: int, lam: tuple) -> int:
+    """count(k, lambda): the number of basis commutators with orbit key
+    (k, lambda), for any k.  They are the pairs (nu, a) of a distinct
+    rearrangement nu of lambda on x_2..x_n, padded with z zeros to L = n - 1
+    slots, and an index a >= the first slot f of nu with a nonzero entry, so
+    n + 1 - f per nu.  Summed over the r(lambda) orders of the nonzero parts
+    and the C(L, z) placements of the zeros, with C(L - s, z - s) of them
+    starting with s zeros, this is r(lambda) * (L*C(L, z) - C(L, z - 1))."""
+    slots = n - 1
+    zeros = slots - len(lam)
+    orders = factorial(len(lam))
+    for size in set(lam):
+        orders //= factorial(lam.count(size))
+    return orders * (slots * comb(slots, zeros) - (comb(slots, zeros - 1) if zeros else 0))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _membership_rows(n: int, d: int):
+    """The rows of the membership check sum_i x_i * ((1 i) p_1) = 0 in degree
+    d, on orbit keys.  The sum is symmetric, so it vanishes when its
+    coefficients at the p_n(d) partitions mu of d vanish; the coefficient at
+    mu is the sum of p_1 at (1 i)(mu - delta_i) over the i with mu_i > 0, that
+    is, the value of the key (mu_i - 1, mu without one mu_i).  Each row lists
+    its distinct (key, multiplicity) pairs."""
+    rows = []
+    for b in weighted_exponent_vectors(n, d):
+        # mu with e^b = e_1^(mu_1 - mu_2) ... e_n^mu_n: mu_i = b_i + ... + b_n
+        mu = tuple(part for part in accumulate(b[::-1]) if part)[::-1]
+        row = []
+        for size in set(mu):
+            rest = list(mu)
+            rest.remove(size)
+            row.append(((size - 1, tuple(rest)), mu.count(size)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _key_values(linear, comm):
+    """The orbit-key values of the commutator part ``comm`` of an invariant
+    with linear part ``linear``, or None if it is not invariant: the linear
+    part must be uniform, and ``comm`` pass three checks in one pass:
+
+    1. agreement: the terms with one key carry one coefficient;
+    2. count: a key holds exactly ``_key_count`` terms;
+    3. membership: the ``_membership_rows`` of each degree sum to 0.
+
+    Checks 1 and 2 make ``comm`` the read-off of the u_1-coordinate p_1 that
+    is symmetric in x_2..x_n with these key values; check 3 puts the spread
+    of p_1 in the embedded image, where it is invariant with the read-off as
+    its preimage.  Check 3 is needed: [x_2, x_1] at n = 2 passes 1 and 2.
+    """
+    n = len(linear)
+    if any(v != linear[0] for v in linear):
+        return None
+    values, sizes = {}, {}
+    for c, v in comm.items():
+        key = _orbit_key(c)
+        if values.setdefault(key, v) != v:
+            return None
+        sizes[key] = sizes.get(key, 0) + 1
+    if any(size != _key_count(n, key[1]) for key, size in sizes.items()):
+        return None
+    for d in {k + sum(lam) + 1 for k, lam in values}:
+        for row in _membership_rows(n, d):
+            if sum(values.get(key, 0) * mult for key, mult in row):
+                return None
+    return values
+
+
+def _moved_by(x, act, n: int):
+    """The generator of S_n that moves x, after the orbit-key checks failed."""
+    sigma = moving_generator(x, act, n)
+    if sigma is None:
+        raise InternalConsistencyError("the orbit-key checks reject an element that S_n fixes")
+    return sigma
+
+
 def invariance_violation(f: LieElement):
-    """A generator of S_n that moves f, or None if f is invariant."""
-    return moving_generator(f, apply_perm_lie, f.n)
+    """A generator of S_n that moves f, or None if f is invariant.
+
+    f is invariant when its linear part is uniform and its commutator part
+    passes the three orbit-key checks of ``_key_values``: agreement, count
+    and membership.  The last is needed, since [x_2, x_1] at n = 2 passes
+    the other two.  Only when a check fails are the generators (1 2) and
+    (1 2 ... n) applied, to name the first that moves f.
+    """
+    if _key_values(f.linear, f.comm) is not None:
+        return None
+    return _moved_by(f, apply_perm_lie, f.n)
 
 
 def is_invariant_lie(f: LieElement) -> bool:
@@ -170,9 +274,10 @@ def solve_weighted_kernel(c):
     The two-point solution z(j1, jk) has jk at position j1 and -j1 at
     position jk.  For support j_1 < ... < j_m the coefficients are
     beta_k = -c_{j_k} / j_1, and c = sum_k beta_k * z(j_1, j_k); the map
-    {j_k: beta_k} is returned (empty for c = 0).
+    {j_k: beta_k} is returned (empty for c = 0), with Fraction values.  Int
+    entries stay ints; any other entry is taken by ``as_fraction``.
     """
-    c = [as_fraction(v) for v in c]
+    c = [v if isinstance(v, int) else as_fraction(v) for v in c]
     weighted = sum((k + 1) * v for k, v in enumerate(c))
     if weighted != 0:
         raise KernelError(f"sum j*t_j = {weighted}, expected 0")
@@ -184,7 +289,7 @@ def solve_weighted_kernel(c):
             "a single nonzero coordinate cannot satisfy the weighted constraint"
         )
     j1 = support[0]
-    return {jk: -c[jk - 1] / j1 for jk in support[1:]}
+    return {jk: Fraction(-c[jk - 1], j1) for jk in support[1:]}
 
 
 def verify_module_relation(n: int, i: int, j: int, k: int) -> bool:
@@ -267,6 +372,7 @@ def weighted_exponent_vectors(n: int, m: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None, typed=True)
 def _e_prime(n: int, m: int):
     """e_m(x_2, ..., x_n) = sum_{i <= m} (-x_1)^i * e_{m-i} in K[x_1, e_1..e_n].
 
@@ -312,32 +418,21 @@ def _peel(terms, n: int, low: int = 0):
     return quotients, rows
 
 
-def _module_coordinates(p1: Polynomial, d: int):
+def _module_coordinates(n: int, groups):
     """The (j, b, gamma) with p1 = sum_j e_{j-1}(x_2..x_n) * sum_b gamma * e^b,
     and the image of p1 in K[x_1, e_1..e_n].
 
-    p1 is the u_1-coordinate of a degree-d invariant, a polynomial of degree
-    d - 1 symmetric in x_2..x_n; a term of another degree or a coefficient
-    that is not symmetric is outside the span of the eps_j.  Grouped by the
-    power of x_1, each coefficient is reduced on partitions to a polynomial
-    in the e_k(x_2..x_n); one sum of products of their cached monomials by
-    x_1^k is the image, which ``_peel`` divides from the top x_1-degree
-    down.  The Chevalley basis 1, x_1, ..., x_1^(n-1) of the
-    S_(n-1)-invariants over the symmetric polynomials makes the r_j unique.
+    p1 is the u_1-coordinate of one homogeneous degree of an invariant,
+    symmetric in x_2..x_n, given by its int key values ``groups``
+    {k: {partition on x_2..x_n: value}} at x_1^k.  Each group is reduced on
+    its partitions to a polynomial in the e_k(x_2..x_n); one sum of products
+    of their cached monomials by x_1^k is the image, which ``_peel`` divides
+    from the top x_1-degree down.  The Chevalley basis 1, x_1, ..., x_1^(n-1)
+    of the S_(n-1)-invariants over the symmetric polynomials makes the r_j
+    unique.
     """
-    n = p1.nvars
-    outside = InternalConsistencyError(
-        f"degree-{d} component is outside the span of the eps_j generators"
-    )
-    if any(sum(mono) != d - 1 for mono in p1.terms):
-        raise outside
-    groups = {}
-    for mono, coeff in p1.terms.items():
-        groups.setdefault(mono[0], {})[mono[1:]] = coeff
     pairs = []
     for k, group in groups.items():
-        if symmetry_violation(Polynomial._wrap(n - 1, group)) is not None:
-            raise outside
         x1k = (k,) + (0,) * n
         coords = _reduce_on_partitions(n - 1, group).items()
         pairs += [(_e_prime_monomial(n, c).terms.items(), ((x1k, v),)) for c, v in coords]
@@ -369,12 +464,16 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     """Decompose an invariant element over the module generators h_ij.
 
     The linear part must be a multiple of x_1 + ... + x_n and is peeled off.
-    The commutator part times the lcm L of its denominators is embedded once
-    and has int coefficients; invariance is tested on the embedded element.
-    Per homogeneous degree d, the embedded component is sum_j eps_j * r_j
-    with each r_j symmetric of weighted degree d - j, so its u_1-coordinate
-    is sum_j e_{j-1}(x_2..x_n) * r_j; the r_j are peeled off that coordinate
-    in K[x_1, e_1..e_n] (no linear solve).  Writing r_j's coefficients
+    The commutator part times the lcm L of its denominators has int
+    coefficients; one pass over it tests invariance with the three orbit-key
+    checks of ``_key_values`` (agreement, count and membership, which alone
+    rejects [x_2, x_1] at n = 2) and gives the coefficients of L * u_1 at
+    partitions of x_2..x_n.  Only when a check fails is the input embedded,
+    to name the generator that moves it in the wreath product.  Per
+    homogeneous degree d, the embedded component is sum_j eps_j * r_j with
+    each r_j symmetric of weighted degree d - j, so its u_1-coordinate is
+    sum_j e_{j-1}(x_2..x_n) * r_j; the r_j are peeled off that coordinate in
+    K[x_1, e_1..e_n] (no linear solve).  Writing r_j's coefficients
     against the exponent vector a obtained by bumping position j, each fixed
     a satisfies sum_j j * alpha_{a,j} = 0, so the weighted-kernel expansion
     converts the block into h_{j1,jk} terms with e-monomial coefficients,
@@ -383,22 +482,19 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     """
     n = f.n
     scale, comm = _integral(f.comm)
-    w = embed(LieElement._wrap(n, f.linear, comm))
-    violation = moving_generator(w, apply_perm_wreath, n)
-    if violation is not None:
+    values = _key_values(f.linear, comm)
+    if values is None:
+        violation = _moved_by(embed(f), apply_perm_wreath, n)
         raise InvarianceError(f"element is not invariant: moved by {violation}", violation)
-    f1_coeff = f.linear[0]
-    if any(v != f1_coeff for v in f.linear):
-        raise InternalConsistencyError("invariant element with non-uniform linear part")
-    # L * u_1 without its constant term, the linear part, sliced by degree
+    # the key values of L * u_1 by degree, then by power of x_1
     slices = {}
-    for mono, coeff in w.upart[0].terms.items():
-        if any(mono):
-            slices.setdefault(sum(mono) + 1, {})[mono] = coeff
+    for (k, lam), v in values.items():
+        group = slices.setdefault(k + sum(lam) + 1, {}).setdefault(k, {})
+        group[lam + (0,) * (n - 1 - len(lam))] = v
     image = {}
     parts_acc = {}
     for d in sorted(slices):
-        coordinates, image_d = _module_coordinates(Polynomial._wrap(n, slices[d]), d)
+        coordinates, image_d = _module_coordinates(n, slices[d])
         image.update(image_d)
         alpha = {}
         for j, b, gamma in coordinates:
@@ -422,7 +518,7 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
                         f"negative e-exponent while splitting block {a}"
                     )
                 add_terms(parts_acc.setdefault((j1, jk), {}), ((tuple(newexp), beta),))
-    result = InvariantDecomposition(n, f1_coeff, {
+    result = InvariantDecomposition(n, f.linear[0], {
         pair: EDecomposition._wrap(n, {b: v / scale for b, v in terms.items()})
         for pair, terms in parts_acc.items()})
     if not _matches_u1(result, image, scale):

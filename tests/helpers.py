@@ -1,4 +1,4 @@
-"""Seeded random generators, independent oracles and an embedding perturbation
+"""Seeded random generators, independent oracles and broken orbit-key checks
 shared by the tests."""
 
 from fractions import Fraction
@@ -14,7 +14,6 @@ from metabelian import (
     Var,
     WreathElement,
     bracket_wreath,
-    embed,
     invariants,
 )
 
@@ -133,26 +132,23 @@ def z_vector(n, j1, jk):
     return vec
 
 
-def perturb_u1(monkeypatch, extra):
-    """Make decompose_invariant read ``extra`` added to every degree slice of
-    u_1, after its invariance test, where the module coordinates are taken."""
-    coordinates = invariants._module_coordinates
-    monkeypatch.setattr(invariants, "_module_coordinates", lambda p1, d: coordinates(p1 + extra, d))
+def _count_off_by_one(monkeypatch):
+    count = invariants._key_count
+    monkeypatch.setattr(invariants, "_key_count", lambda n, lam: count(n, lam) + 1)
 
 
-def perturb_embedding(monkeypatch, extra):
-    """Make decompose_invariant see ``extra`` added to the embedded u_1."""
+def _first_entry_of_each_row_negated(monkeypatch):
+    rows = invariants._membership_rows
 
-    def perturbed(f):
-        w = embed(f)
-        return WreathElement(w.n, (w.upart[0] + extra,) + w.upart[1:], w.vpart)
+    def flipped(n, d):
+        return tuple(((row[0][0], -row[0][1]),) + row[1:] for row in rows(n, d))
 
-    monkeypatch.setattr(invariants, "embed", perturbed)
+    monkeypatch.setattr(invariants, "_membership_rows", flipped)
 
 
-# h_12 has degree 3, so its u_1-coordinate has degree 2: a constant is out of
-# reach of the degree-3 module coordinates, and x2^2 is not symmetric in x2, x3
-U1_PERTURBATIONS = {
-    "out-of-span": Polynomial.one(3),
-    "not-symmetric": Polynomial.variable(3, 2) ** 2,
+# one orbit-key check broken so that it rejects invariants such as h_12 at
+# n = 3, whose row at the partition (2, 1) starts with a nonzero key value
+KEY_CHECK_BREAKS = {
+    "count": _count_off_by_one,
+    "membership": _first_entry_of_each_row_negated,
 }

@@ -6,7 +6,8 @@ through ``_ad`` term by term and add each image on Fraction coefficients;
 ``polynomial_product`` multiplies two polynomials on Fraction coefficients;
 ``group_average`` sums the n! images with a fresh copy of the running total
 per permutation and returns x itself when n = 1, and ``apply_perm_lie``
-multiplies every coefficient by its sign; ``epsilon`` lists the
+multiplies every coefficient by its sign, and ``invariance_violation`` applies
+it for the two generators of S_n; ``epsilon`` lists the
 e_{j-1}(variables other than x_i) for every u-index i, ``generator_h`` adds two
 whole module products of it as wreath elements, and
 ``verify_module_relation`` forms the relation on all n u-coordinates through
@@ -17,7 +18,7 @@ Fraction entries; ``invariant_space_basis`` lists every degree-d basis
 commutator and takes the kernel of sigma - 1 over the two generators of S_n
 with ``linalg.nullspace``; and ``decompose_invariant`` builds, per degree,
 every column eps_j * e^b as wreath coordinates and solves for the embedded
-component with ``linalg.solve_exact``, after the Lie-side invariance test and
+component with ``linalg.solve_exact``, after the invariance test above and
 before the self-check on all n u-coordinates; ``decompose_in_elementary``
 reduces the whole x-expanded polynomial by whole expanded e-monomials (its
 leader taken inline, as the removed ``Polynomial.leading_monomial`` did), and
@@ -55,7 +56,6 @@ from metabelian.errors import (
 from metabelian.invariants import (
     InvariantDecomposition,
     generator_h_lie,
-    invariance_violation,
     solve_weighted_kernel,
     weighted_exponent_vectors,
 )
@@ -254,6 +254,14 @@ def apply_perm_lie(sigma, f: LieElement) -> LieElement:
         factors = tuple(sorted(sigma(t) for t in c.tail))
         add_terms(acc, ((c2, gamma * sign) for c2, sign in _ad(BasisCommutator(a, b), factors)))
     return LieElement(n, linear, acc)
+
+
+def invariance_violation(f: LieElement):
+    """A generator of S_n that moves f, or None if f is invariant: the first
+    of (1 2) and (1 2 ... n) whose ``apply_perm_lie`` image differs from f."""
+    if f.n == 1:
+        return None
+    return next((sigma for sigma in sn_generators(f.n) if apply_perm_lie(sigma, f) != f), None)
 
 
 def _rref(rows, ncols):

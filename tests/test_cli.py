@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import U1_PERTURBATIONS, perturb_embedding, perturb_u1
+from helpers import KEY_CHECK_BREAKS
 from metabelian import InternalConsistencyError, cli
 from metabelian.cli import main
 
@@ -169,22 +169,14 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: reassembled decomposition does not match\n"
 
 
-@pytest.mark.parametrize("extra", U1_PERTURBATIONS.values(), ids=U1_PERTURBATIONS)
-def test_decompose_outside_the_eps_span_exits_3(capsys, monkeypatch, extra):
-    perturb_u1(monkeypatch, extra)
+@pytest.mark.parametrize("brk", KEY_CHECK_BREAKS.values(), ids=KEY_CHECK_BREAKS)
+def test_a_key_check_that_rejects_an_invariant_exits_3(capsys, monkeypatch, brk):
+    brk(monkeypatch)
     h12 = "[x2,x1,x2-x1] + [x3,x1,x3-x1] + [x3,x2,x3-x2]"
-    code, out, err = run(capsys, "decompose", "--n", "3", h12)
-    assert (code, out) == (3, "")
-    assert err == "internal error: degree-3 component is outside the span of the eps_j generators\n"
-
-
-@pytest.mark.parametrize("extra", U1_PERTURBATIONS.values(), ids=U1_PERTURBATIONS)
-def test_decompose_of_a_corrupted_embedding_exits_2(capsys, monkeypatch, extra):
-    perturb_embedding(monkeypatch, extra)
-    h12 = "[x2,x1,x2-x1] + [x3,x1,x3-x1] + [x3,x2,x3-x2]"
-    code, out, err = run(capsys, "decompose", "--n", "3", h12)
-    assert (code, out) == (2, "")
-    assert err == "error: element is not invariant: moved by (1 2)\n"
+    for command in ("decompose", "is-invariant"):
+        code, out, err = run(capsys, command, "--n", "3", h12)
+        assert (code, out) == (3, "")
+        assert err == "internal error: the orbit-key checks reject an element that S_n fixes\n"
 
 
 def _json_error(out):

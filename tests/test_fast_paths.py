@@ -658,6 +658,45 @@ def test_decompose_edge_inputs_like_the_reference(f):
     assert dec.verify(f) and ref.u1_self_check(dec, f)
 
 
+@st.composite
+def invariants_and_near_misses(draw):
+    """An invariant at n <= 5, as it is or with one term dropped, one
+    coefficient rescaled, one basis commutator of its degree shifted in,
+    or one linear coefficient shifted; also multiples of [x2, x1] at n = 2."""
+    if draw(st.integers(0, 9)) == 0:
+        return LieElement.from_commutator(2, BasisCommutator(2, 1), draw(fractions))
+    f = draw(generator_combinations(max_n=5))
+    n, comm, linear = f.n, dict(f.comm), list(f.linear)
+    if not comm:
+        return f
+    c = draw(st.sampled_from(sorted(comm, key=BasisCommutator.sort_key)))
+    change = draw(st.sampled_from(["none", "drop", "rescale", "shift-term", "shift-linear"]))
+    if change == "drop":
+        del comm[c]
+    elif change == "rescale":
+        comm[c] *= draw(st.sampled_from([-1, 2, Fraction(1, 2), Fraction(-3, 7)]))
+    elif change == "shift-term":
+        i2 = draw(st.integers(1, n - 1))
+        i1 = draw(st.integers(i2 + 1, n))
+        tail = draw(st.lists(st.integers(i2, n), min_size=c.degree - 2, max_size=c.degree - 2))
+        shifted = BasisCommutator(i1, i2, tail)
+        comm[shifted] = comm.get(shifted, 0) + draw(fractions)
+    elif change == "shift-linear":
+        linear[draw(st.integers(0, n - 1))] += draw(fractions)
+    return LieElement(n, linear, comm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariants_and_near_misses())
+def test_the_key_test_names_the_generator_the_reference_names(f):
+    sigma = ref.invariance_violation(f)
+    assert invariants.invariance_violation(f) == sigma
+    if sigma is not None:
+        with pytest.raises(InvarianceError) as err:
+            decompose_invariant(f)
+        assert str(err.value) == f"element is not invariant: moved by {sigma}"
+
+
 @settings(max_examples=30, deadline=None)
 @given(generator_combinations())
 def test_reconstruct_read_off_u1_matches_the_reference_actions(f):

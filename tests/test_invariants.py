@@ -48,9 +48,7 @@ from metabelian import invariants, linalg, polynomials
 from metabelian.invariants import weighted_exponent_vectors
 from metabelian.linalg import solve_exact
 from helpers import (
-    U1_PERTURBATIONS,
-    perturb_embedding,
-    perturb_u1,
+    KEY_CHECK_BREAKS,
     random_fraction,
     random_homogeneous_commutator,
     random_lie_element,
@@ -233,8 +231,13 @@ def test_weighted_kernel_examples():
     assert solve_weighted_kernel([0, 3, -2]) == {3: Fraction(1)}
     assert solve_weighted_kernel([5, -1, -1]) == {2: Fraction(1), 3: Fraction(1)}
     assert solve_weighted_kernel([0, 0, 0]) == {}
+    # int entries give Fraction values, as Fraction entries do
+    for c in ([5, -1, -1], [Fraction(5), Fraction(-1), -1]):
+        assert all(type(v) is Fraction for v in solve_weighted_kernel(c).values())
     with pytest.raises(KernelError):
         solve_weighted_kernel([1, 1])
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        solve_weighted_kernel([2, -1.0])
 
 
 def test_weighted_kernel_reconstruction():
@@ -334,20 +337,14 @@ def test_decompose_rejects_non_invariant():
     assert err.value.permutation is not None
 
 
-@pytest.mark.parametrize("extra", U1_PERTURBATIONS.values(), ids=U1_PERTURBATIONS)
-def test_decompose_outside_the_eps_span_is_an_internal_error(monkeypatch, extra):
-    perturb_u1(monkeypatch, extra)
-    with pytest.raises(InternalConsistencyError) as err:
-        decompose_invariant(generator_h_lie(3, 1, 2))
-    assert str(err.value) == "degree-3 component is outside the span of the eps_j generators"
-
-
-@pytest.mark.parametrize("extra", U1_PERTURBATIONS.values(), ids=U1_PERTURBATIONS)
-def test_a_corrupted_embedding_is_caught_as_not_invariant(monkeypatch, extra):
-    perturb_embedding(monkeypatch, extra)
-    with pytest.raises(InvarianceError) as err:
-        decompose_invariant(generator_h_lie(3, 1, 2))
-    assert str(err.value) == "element is not invariant: moved by (1 2)"
+@pytest.mark.parametrize("brk", KEY_CHECK_BREAKS.values(), ids=KEY_CHECK_BREAKS)
+def test_a_key_check_that_rejects_an_invariant_is_an_internal_error(monkeypatch, brk):
+    # a rejected invariant is named by no generator: the two tests disagree
+    brk(monkeypatch)
+    for call in (decompose_invariant, is_invariant_lie):
+        with pytest.raises(InternalConsistencyError) as err:
+            call(generator_h_lie(3, 1, 2))
+        assert str(err.value) == "the orbit-key checks reject an element that S_n fixes"
 
 
 def counting(monkeypatch, module, name):
@@ -362,15 +359,33 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_decompose_embeds_once_and_tests_invariance_in_the_wreath_product(monkeypatch):
+def test_decompose_embeds_nothing_and_tests_invariance_on_orbit_keys(monkeypatch):
     n = 4
     f = sum_of_variables(n) * 2 + generator_h_lie(n, 1, 2)
     f = f + ad_action(generator_h_lie(n, 1, 3), elementary_symmetric(n, 1))
     assert len(f.degrees()) == 3
-    embeds = counting(monkeypatch, invariants, "embed")
-    lie_actions = counting(monkeypatch, invariants, "apply_perm_lie")
+    calls = [
+        counting(monkeypatch, owner, name)
+        for owner, name in (
+            (invariants, "embed"),
+            (invariants, "apply_perm_wreath"),
+            (invariants, "apply_perm_lie"),
+            (polynomials, "symmetry_violation"),
+            (invariants, "_key_values"),
+        )
+    ]
     assert decompose_invariant(f).verify(f)
-    assert (len(embeds), len(lie_actions)) == (1, 0)
+    assert [len(c) for c in calls] == [0, 0, 0, 0, 1]
+
+
+def test_invariance_of_an_invariant_applies_no_permutation(monkeypatch):
+    f = reynolds_lie(random_lie_element(random.Random(61), 5, 6, comm_terms=3))
+    lie_actions = counting(monkeypatch, invariants, "apply_perm_lie")
+    assert is_invariant_lie(f) and invariants.invariance_violation(f) is None
+    assert lie_actions == []
+    moved = f + LieElement.from_commutator(5, BasisCommutator(3, 1, (2,)))
+    assert invariants.invariance_violation(moved) == Permutation.transposition(5, 1, 2)
+    assert len(lie_actions) == 1
 
 
 def test_decompose_substitutes_nothing_cold_or_warm(monkeypatch):
@@ -389,7 +404,7 @@ def test_decompose_substitutes_nothing_cold_or_warm(monkeypatch):
     assert cold.verify(f)
 
 
-def test_a_warm_decompose_expands_no_part_and_embeds_once(monkeypatch):
+def test_a_warm_decompose_expands_no_part_and_embeds_nothing(monkeypatch):
     n = 5
     f = reynolds_lie(random_lie_element(random.Random(59), n, 7, comm_terms=3)) * Fraction(2, 7)
     assert decompose_invariant(f).verify(f)
@@ -401,10 +416,12 @@ def test_a_warm_decompose_expands_no_part_and_embeds_once(monkeypatch):
             (InvariantDecomposition, "_u1"),
             (invariants, "embed"),
             (invariants, "apply_perm_lie"),
+            (invariants, "apply_perm_wreath"),
+            (polynomials, "symmetry_violation"),
         )
     ]
     assert len(decompose_invariant(f).parts) > 1
-    assert [len(c) for c in calls] == [0, 0, 0, 1, 0]
+    assert [len(c) for c in calls] == [0, 0, 0, 0, 0, 0, 0]
 
 
 def test_a_cold_generator_h_is_one_sum_of_products(monkeypatch):
