@@ -15,12 +15,14 @@ polynomials in e_1, ..., e_n.
 The embedding is injective and S_n-equivariant, so an invariant element
 sum_i u_i p_i is fixed by its u_1-coordinate p_1 (p_sigma(1) = sigma * p_1),
 which is symmetric in x_2..x_n: invariants are built on u_1, spread, checked
-and read back into Lie form off u_1, and decompose on an integer multiple of
-u_1 written in K[x_1, e_1..e_n], where its result is checked as well.  Each
-Lie coefficient of an invariant is the value of p_1 on one orbit key
-(k, lambda), x_1^k times the S_(n-1)-orbit of a partition lambda on
-x_2..x_n, so invariance is tested in one pass over the Lie terms, and the
-key values are the coefficients at partitions that decompose reduces.
+and read back into Lie form off u_1.  Each Lie coefficient of an invariant is
+the value of p_1 on one orbit key (k, lambda), x_1^k times the
+S_(n-1)-orbit of a partition lambda on x_2..x_n, so invariance is tested in
+one pass over the Lie terms.  Decompose and reconstruct are two cached
+linear maps on the key values, on ints: a forward column per key gives the
+module coordinates, and a back column per h_ij * e^b gives the key values of
+its u_1, which check decompose's result and are expanded and read off to
+reconstruct it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb, factorial, lcm
 from operator import add
 
@@ -48,6 +50,7 @@ from .polynomials import (
     Polynomial,
     _add_products,
     _integral,
+    _partition_part,
     _reduce_on_partitions,
     _require_ints,
     add_terms,
@@ -109,29 +112,6 @@ def epsilon(n: int, j: int) -> WreathElement:
     terms = elementary_symmetric(n, j - 1).terms
     p1 = Polynomial._wrap(n, {m: c for m, c in terms.items() if not m[0]})
     return read_only(_spread(p1))
-
-
-def polarized_elementary(n: int, p: int, q: int) -> Polynomial:
-    """The bidegree-(p, q) polarization of e_{p+q} in the 2n-variable ring.
-
-    Sums u_{i_1}..u_{i_p} x_{j_1}..x_{j_q} over pairwise-distinct indices
-    with each group strictly increasing; u-variables occupy the first n
-    slots of the ring.
-    """
-    _require_ints(n, p, q)
-    if p < 0 or q < 0 or p + q <= 0 or p + q > n:
-        raise DomainError(f"bidegree ({p}, {q}) outside 0 < p+q <= {n}")
-    terms = {}
-    for usubset in combinations(range(n), p):
-        rest = [k for k in range(n) if k not in usubset]
-        for xsubset in combinations(rest, q):
-            mono = [0] * (2 * n)
-            for k in usubset:
-                mono[k] = 1
-            for k in xsubset:
-                mono[n + k] = 1
-            terms[tuple(mono)] = _ONE
-    return Polynomial(2 * n, terms)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -276,6 +256,14 @@ def solve_weighted_kernel(c):
     beta_k = -c_{j_k} / j_1, and c = sum_k beta_k * z(j_1, j_k); the map
     {j_k: beta_k} is returned (empty for c = 0), with Fraction values.  Int
     entries stay ints; any other entry is taken by ``as_fraction``.
+
+    In the Koszul complex of 1*e_1, ..., n*e_n (see ``decompose_invariant``),
+    c is the block at one e-monomial e^a of a d_1-cycle, where the cycle
+    condition reads sum_j j * c_j = 0, and z(j1, jk) is the block there of
+    h_(j1,jk) * e^(a - delta_j1 - delta_jk), a d_2-image.
+    So this is the contracting homotopy of that decomposition on one
+    e-monomial: it picks the d_2-preimage that uses the lowest index j_1 of
+    the support in every pair.
     """
     c = [v if isinstance(v, int) else as_fraction(v) for v in c]
     weighted = sum((k + 1) * v for k, v in enumerate(c))
@@ -336,15 +324,13 @@ class InvariantDecomposition:
         """(i, j, EDecomposition) triples in lexicographic pair order."""
         return [(i, j, self.parts[(i, j)]) for (i, j) in sorted(self.parts)]
 
-    def _u1(self) -> Polynomial:
-        """The u_1-coordinate of the embedded commutator part, sum h_ij * q_ij."""
-        n = self.n
-        pairs = [(generator_h(n, i, j).upart[0], q.expand()) for i, j, q in self.items()]
-        return sum_of_products(n, pairs)
-
     def reconstruct(self) -> LieElement:
-        """Evaluate the certificate back to a canonical Lie element, read off u_1."""
-        return LieElement._wrap(self.n, (self.f1_coeff,) * self.n, _lie_from_u1(self._u1()).comm)
+        """Evaluate the certificate back to a canonical Lie element: the cached
+        back columns of its terms give the orbit-key values of u_1, whose
+        expansion into the rearrangements of each key is read off."""
+        n, den = self.n, _denominator_of_parts(self)
+        values = {key: Fraction(v, den) for key, v in _scaled_key_values(self, den).items()}
+        return LieElement._wrap(n, (self.f1_coeff,) * n, _lie_from_u1(_expand_keys(n, values)).comm)
 
     def verify(self, f: LieElement) -> bool:
         return self.reconstruct() == f
@@ -394,19 +380,18 @@ def _e_prime_monomial(n: int, c: tuple) -> Polynomial:
     return read_only(Polynomial._wrap(n + 1, terms))
 
 
-def _peel(terms, n: int, low: int = 0):
+def _peel(terms, n: int):
     """Divide the int map ``terms`` on K[x_1, e_1..e_n] from its top x_1-degree
-    k down to ``low`` by e_m(x_2..x_n), m = min(k, n), whose x_1-leading term
-    is (-x_1)^m; returns the quotient and the remainder as rows
-    {x_1-degree: {e-exponents: int}}.  Each quotient row is a row times +-1:
-    for k >= n it reduces modulo e_n(x_2..x_n) = 0, and for k < n it is the
-    coordinate of e_k(x_2..x_n)."""
+    k down to 0 by e_m(x_2..x_n), m = min(k, n), whose x_1-leading term is
+    (-x_1)^m; returns the quotient as rows {x_1-degree: {e-exponents: int}}.
+    Each quotient row is a row times +-1: for k >= n it reduces modulo
+    e_n(x_2..x_n) = 0, and for k < n it is the coordinate of e_k(x_2..x_n)."""
     rows = {}
     for mono, v in terms.items():
         if v:
             rows.setdefault(mono[0], {})[mono[1:]] = v
     quotients = {}
-    for k in range(max(rows, default=-1), low - 1, -1):
+    for k in range(max(rows, default=-1), -1, -1):
         top = rows.pop(k, None)
         if not top:
             continue
@@ -415,49 +400,115 @@ def _peel(terms, n: int, low: int = 0):
         for mono, v in _e_prime(n, m)[:-1]:
             row = rows.setdefault(k - m + mono[0], {})
             add_terms(row, ((tuple(map(add, b, mono[1:])), -v * c) for b, c in q.items()))
-    return quotients, rows
+    return quotients
 
 
-def _module_coordinates(n: int, groups):
-    """The (j, b, gamma) with p1 = sum_j e_{j-1}(x_2..x_n) * sum_b gamma * e^b,
-    and the image of p1 in K[x_1, e_1..e_n].
+@lru_cache(maxsize=None, typed=True)
+def _forward_column(n: int, key: tuple):
+    """The weighted-kernel blocks of the unit value at the orbit key
+    (k, lambda), as ((a, j), int) pairs: the invariant whose u_1-coordinate is
+    p1 = x_1^k * m_lambda(x_2..x_n) embeds as sum_j eps_j * r_j, and
+    alpha_(a, j) is the coefficient of e^(a - delta_j) in r_j.
 
-    p1 is the u_1-coordinate of one homogeneous degree of an invariant,
-    symmetric in x_2..x_n, given by its int key values ``groups``
-    {k: {partition on x_2..x_n: value}} at x_1^k.  Each group is reduced on
-    its partitions to a polynomial in the e_k(x_2..x_n); one sum of products
-    of their cached monomials by x_1^k is the image, which ``_peel`` divides
-    from the top x_1-degree down.  The Chevalley basis 1, x_1, ..., x_1^(n-1)
-    of the S_(n-1)-invariants over the symmetric polynomials makes the r_j
-    unique.
-    """
-    pairs = []
-    for k, group in groups.items():
-        x1k = (k,) + (0,) * n
-        coords = _reduce_on_partitions(n - 1, group).items()
-        pairs += [(_e_prime_monomial(n, c).terms.items(), ((x1k, v),)) for c, v in coords]
-    image = _add_products({}, pairs)
-    quotients, _ = _peel(image, n)
-    return [(k + 1, b, c) for k, row in quotients.items() if k < n for b, c in row.items()], image
+    m_lambda is reduced on its partitions to a polynomial in the
+    e_k(x_2..x_n); the sum of their cached monomials in K[x_1, e_1..e_n]
+    times x_1^k is p1, and ``_peel`` divides it from the top x_1-degree down:
+    p1 = sum_j e_(j-1)(x_2..x_n) * r_j, unique by the Chevalley basis
+    1, x_1, ..., x_1^(n-1) of the S_(n-1)-invariants over the symmetric
+    polynomials.  So the map from key values to blocks is linear, and this
+    column is its image of one key."""
+    k, lam = key
+    coords = _reduce_on_partitions(n - 1, {lam + (0,) * (n - 1 - len(lam)): 1})
+    x1k = (k,) + (0,) * n
+    image = _add_products({}, [(_e_prime_monomial(n, c).terms.items(), ((x1k, v),))
+                               for c, v in coords.items()])
+    # the quotient row at x_1^t holds r_(t+1)
+    return tuple(((b[:t] + (b[t] + 1,) + b[t + 1:], t + 1), gamma)
+                 for t, row in _peel(image, n).items() if t < n for b, gamma in row.items())
 
 
-def _matches_u1(dec: InvariantDecomposition, image, scale: int) -> bool:
-    """Whether the commutator part of ``dec`` has u_1-coordinate image / scale,
-    for an int map ``image`` on K[x_1, e_1..e_n].  There h_ij has u_1 =
-    j*e_{i-1}(x_2..x_n)*e_j - i*e_{j-1}(x_2..x_n)*e_i; the difference of the
-    sides, reduced modulo e_n(x_2..x_n) = 0 to x_1-degree < n, is unique in
-    the Chevalley basis, so it vanishes exactly when the two u_1 are equal."""
-    n = dec.n
-    den = lcm(*(c.denominator for q in dec.parts.values() for c in q.terms.values()))
-    residual = {mono: -den * v for mono, v in image.items()}
-    for i, j, q in dec.items():
-        h = _add_products({}, ((_e_prime(n, i - 1), ((unit_vector(n + 1, j), j),)),
-                               (_e_prime(n, j - 1), ((unit_vector(n + 1, i), -i),))))
-        scaled = [((0,) + b, c.numerator * (den * scale // c.denominator))
-                  for b, c in q.terms.items()]
-        _add_products(residual, ((h.items(), scaled),))
-    _, remainder = _peel(residual, n, n)
-    return not any(remainder.values())
+@lru_cache(maxsize=None, typed=True)
+def _back_column(n: int, i: int, j: int, b: tuple):
+    """The orbit-key values of the u_1-coordinate of h_ij * e^b, as
+    (key, int) pairs.
+
+    It is built in K[x_1, e'_1..e'_(n-1)], e'_m = e_m(x_2..x_n) in slot m,
+    where e_m = e'_m + x_1 * e'_(m-1) (e'_0 = 1, e'_n = 0) and u_1 of h_ij is
+    j * e'_(i-1) * e_j - i * e'_(j-1) * e_i.  The coefficient of x_1^k * e'^c
+    times the cached partition part of e'^c on x_2..x_n gives the values at
+    the keys (k, lambda); no product in x_1..x_n runs."""
+
+    def mono(s, q):  # x_1^s * e'_q
+        return (s,) + unit_vector(n, q)[1:]
+
+    def e(m):
+        return tuple((mono(s, m - s), 1) for s in (0, 1) if m - s < n)
+
+    terms = _add_products({}, ((((mono(0, i - 1), j),), e(j)), (((mono(0, j - 1), -i),), e(i))))
+    for m, mult in enumerate(b, start=1):
+        for _ in range(mult):
+            terms = _add_products({}, ((terms.items(), e(m)),))
+    values = {}
+    for c, v in terms.items():
+        if v:
+            for lam, w in _partition_part(n - 1, c[1:]):
+                key = (c[0], tuple(part for part in lam if part))
+                values[key] = values.get(key, 0) + v * w
+    return tuple((key, v) for key, v in values.items() if v)
+
+
+def _denominator_of_parts(dec: InvariantDecomposition) -> int:
+    """The lcm of the denominators of the coefficients of all parts of dec."""
+    return lcm(*(c.denominator for q in dec.parts.values() for c in q.terms.values()))
+
+
+def _scaled_key_values(dec: InvariantDecomposition, mult: int):
+    """mult times the orbit-key values of the commutator part of ``dec``, as
+    ints, for mult a multiple of every denominator of its parts: each term
+    c * e^b of q_ij adds c * mult times the cached back column of h_ij * e^b."""
+    acc = {}
+    for (i, j), q in dec.parts.items():
+        for b, c in q.terms.items():
+            s = c.numerator * (mult // c.denominator)
+            for key, w in _back_column(dec.n, i, j, b):
+                acc[key] = acc.get(key, 0) + s * w
+    return {key: v for key, v in acc.items() if v}
+
+
+def _matches_keys(dec: InvariantDecomposition, values, scale: int) -> bool:
+    """Whether the commutator part of ``dec`` has the orbit-key values
+    values / scale, for the int key values ``values`` of an invariant times
+    ``scale``.  The key values fix the u_1-coordinate, which fixes the
+    invariant, so this is the literal check that ``dec`` reconstructs it."""
+    den = _denominator_of_parts(dec)
+    return _scaled_key_values(dec, den * scale) == {key: den * v for key, v in values.items()}
+
+
+def _rearrangements(lam: tuple, slots: int):
+    """The distinct rearrangements of the partition lam padded with zeros to
+    ``slots`` entries, in increasing lexicographic order: from the increasing
+    arrangement, each step raises the last entry that is below its right
+    neighbour to the least larger entry right of it and reverses the rest."""
+    nu = [0] * (slots - len(lam)) + list(lam[::-1])
+    while True:
+        yield tuple(nu)
+        t = slots - 2
+        while t >= 0 and nu[t] >= nu[t + 1]:
+            t -= 1
+        if t < 0:
+            return
+        s = slots - 1
+        while nu[s] <= nu[t]:
+            s -= 1
+        nu[t], nu[s] = nu[s], nu[t]
+        nu[t + 1:] = nu[:t:-1]
+
+
+def _expand_keys(n: int, values) -> Polynomial:
+    """The u_1-coordinate, symmetric in x_2..x_n, with orbit-key values
+    ``values``: x_1^k times every rearrangement of lambda on x_2..x_n."""
+    return Polynomial._wrap(n, {(k,) + nu: v for (k, lam), v in values.items()
+                                for nu in _rearrangements(lam, n - 1)})
 
 
 def decompose_invariant(f: LieElement) -> InvariantDecomposition:
@@ -467,18 +518,29 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     The commutator part times the lcm L of its denominators has int
     coefficients; one pass over it tests invariance with the three orbit-key
     checks of ``_key_values`` (agreement, count and membership, which alone
-    rejects [x_2, x_1] at n = 2) and gives the coefficients of L * u_1 at
-    partitions of x_2..x_n.  Only when a check fails is the input embedded,
-    to name the generator that moves it in the wreath product.  Per
-    homogeneous degree d, the embedded component is sum_j eps_j * r_j with
-    each r_j symmetric of weighted degree d - j, so its u_1-coordinate is
-    sum_j e_{j-1}(x_2..x_n) * r_j; the r_j are peeled off that coordinate in
-    K[x_1, e_1..e_n] (no linear solve).  Writing r_j's coefficients
-    against the exponent vector a obtained by bumping position j, each fixed
-    a satisfies sum_j j * alpha_{a,j} = 0, so the weighted-kernel expansion
-    converts the block into h_{j1,jk} terms with e-monomial coefficients,
-    divided by L once.  The result is checked on u_1 in K[x_1, e_1..e_n],
-    with no q_ij expanded, before returning.
+    rejects [x_2, x_1] at n = 2) and gives the key values of L * u_1.  Only
+    when a check fails is the input embedded, to name the generator that
+    moves it in the wreath product.
+
+    Per homogeneous degree d, the embedded component is sum_j eps_j * r_j
+    with each r_j symmetric of weighted degree d - j.  Writing r_j's
+    coefficients against the exponent vector a obtained by bumping position
+    j gives the blocks alpha_(a, j), a linear image of the key values: one
+    sparse int product with the cached ``_forward_column`` of each key.
+    This is the Koszul complex K_2 -> K_1 -> K_0 of the regular sequence
+    1*e_1, ..., n*e_n over R = K[e_1..e_n]: K_1 is free on E_1..E_n,
+    d_1(E_j) = j * e_j and d_2(E_i ^ E_j) = i*e_i * E_j - j*e_j * E_i.
+    sum_j r_j * E_j is a d_1-cycle, since sum_i x_i * e_(j-1)(all but x_i)
+    = j * e_j makes sum_j j * e_j * r_j the membership sum
+    sum_i x_i * (u_i-coordinate) = 0; at each e^a this says
+    sum_j j * alpha_(a, j) = 0.  h_ij is -d_2(E_i ^ E_j), so writing the
+    cycle over the h_ij is finding a d_2-preimage, which exactness
+    guarantees.  The block loop finds one, an e-monomial at a time, with the
+    weighted-kernel expansion (``solve_weighted_kernel``): a K-linear
+    contracting homotopy.  The h_(j1,jk) terms it gives are divided by L
+    once.  The result is checked before returning: the cached
+    ``_back_column`` values of its terms sum to the key values, on ints,
+    with no q_ij expanded.
     """
     n = f.n
     scale, comm = _integral(f.comm)
@@ -486,42 +548,35 @@ def decompose_invariant(f: LieElement) -> InvariantDecomposition:
     if values is None:
         violation = _moved_by(embed(f), apply_perm_wreath, n)
         raise InvarianceError(f"element is not invariant: moved by {violation}", violation)
-    # the key values of L * u_1 by degree, then by power of x_1
-    slices = {}
-    for (k, lam), v in values.items():
-        group = slices.setdefault(k + sum(lam) + 1, {}).setdefault(k, {})
-        group[lam + (0,) * (n - 1 - len(lam))] = v
-    image = {}
+    alpha = {}
+    for key, v in values.items():
+        for (a, j), gamma in _forward_column(n, key):
+            alpha.setdefault(a, [0] * n)[j - 1] += v * gamma
     parts_acc = {}
-    for d in sorted(slices):
-        coordinates, image_d = _module_coordinates(n, slices[d])
-        image.update(image_d)
-        alpha = {}
-        for j, b, gamma in coordinates:
-            a = b[: j - 1] + (b[j - 1] + 1,) + b[j:]
-            alpha.setdefault(a, [0] * n)[j - 1] += gamma
-        for a, cvec in sorted(alpha.items(), key=lambda kv: grlex_key(kv[0])):
-            try:
-                betas = solve_weighted_kernel(cvec)
-            except KernelError:
+    for a, cvec in sorted(alpha.items(), key=lambda kv: grlex_key(kv[0])):
+        if not any(cvec):
+            continue
+        try:
+            betas = solve_weighted_kernel(cvec)
+        except KernelError:
+            raise InternalConsistencyError(
+                f"block {a} violates the weighted constraint; "
+                "the input cannot come from the commutator ideal"
+            ) from None
+        j1 = next(k + 1 for k, v in enumerate(cvec) if v != 0)
+        for jk, beta in betas.items():
+            newexp = list(a)
+            newexp[j1 - 1] -= 1
+            newexp[jk - 1] -= 1
+            if min(newexp) < 0:
                 raise InternalConsistencyError(
-                    f"block {a} violates the weighted constraint; "
-                    "the input cannot come from the commutator ideal"
-                ) from None
-            j1 = next(k + 1 for k, v in enumerate(cvec) if v != 0)
-            for jk, beta in betas.items():
-                newexp = list(a)
-                newexp[j1 - 1] -= 1
-                newexp[jk - 1] -= 1
-                if min(newexp) < 0:
-                    raise InternalConsistencyError(
-                        f"negative e-exponent while splitting block {a}"
-                    )
-                add_terms(parts_acc.setdefault((j1, jk), {}), ((tuple(newexp), beta),))
+                    f"negative e-exponent while splitting block {a}"
+                )
+            add_terms(parts_acc.setdefault((j1, jk), {}), ((tuple(newexp), beta),))
     result = InvariantDecomposition(n, f.linear[0], {
         pair: EDecomposition._wrap(n, {b: v / scale for b, v in terms.items()})
         for pair, terms in parts_acc.items()})
-    if not _matches_u1(result, image, scale):
+    if not _matches_keys(result, values, scale):
         raise InternalConsistencyError("reassembled decomposition does not match the input")
     return result
 
@@ -543,6 +598,18 @@ def hilbert_function(n: int, d: int) -> int:
     of weighted degree d and per index of its support but the first, which
     is sum_{j <= min(n, d)} p_n(d - j) - p_n(d) with p_n(m) the number of
     partitions of m into parts of size at most n.
+
+    The same number is the Euler characteristic of the Koszul complex of
+    1*e_1, ..., n*e_n over R = K[e_1..e_n], with e_j of weight j: its degree-d
+    part K_k has dimension sum_(|S| = k) p_n(d - sum S) over the k-subsets
+    S of {1..n}, as p_n(m) is the dimension of R in weight m.  For d >= 2
+    the invariants of degree d correspond to the d_1-cycles of degree d
+    (see ``decompose_invariant``), and a regular sequence makes the complex
+    exact at K_k for k >= 1.  So their dimension is that of the d_2-image,
+    sum_(k >= 2) (-1)^k dim K_k.  Its homology at K_0, R/(e_1..e_n) = K,
+    sits in weight 0, so in weight d >= 1 the alternating sum over all k
+    vanishes, which turns that into dim K_1 - dim K_0 =
+    sum_j p_n(d - j) - p_n(d).
     """
     _require_ints(n, d)
     if n < 1:

@@ -347,15 +347,6 @@ def apply_perm_lie(sigma, f: LieElement) -> LieElement:
     return LieElement._wrap(f.n, tuple(linear), {c: v for c, v in acc.items() if v})
 
 
-def grade(f: LieElement, d: int) -> LieElement:
-    """The homogeneous component of total degree d (variables have degree 1)."""
-    if d == 1:
-        return LieElement(f.n, f.linear)
-    if d < 1:
-        return LieElement.zero(f.n)
-    return LieElement(f.n, None, {c: v for c, v in f.comm.items() if c.degree == d})
-
-
 # expression trees -----------------------------------------------------------
 
 class LieExpr:

@@ -9,15 +9,17 @@ elementary-symmetric reduction is graded lexicographic with x1 > x2 > ... > xn.
 polynomials as Python ints.  ``sum_of_products`` computes sum_k P_k * Q_k on
 it fraction-free, over one common denominator taken before any product, and
 makes each output coefficient a Fraction once.  ``Polynomial.__mul__`` is its
-one-pair case; u_1 of h_ij, u_1 of a decomposition (reconstruct) and the
-expansion of an e-polynomial run on it directly, and the module coordinates
-and self-check of a decomposition run on the int loop itself.
+one-pair case; u_1 of h_ij and the expansion of an e-polynomial run on it
+directly, and the cached columns of the invariant decomposition run on the
+int loop itself.
 
 Besides ring arithmetic this module provides the elementary symmetric
 polynomials, the symmetry test on the two standard generators of S_n, the
 group-averaging projector, and the rewriting of a symmetric polynomial as a
 polynomial in e_1, ..., e_n (unique, as the e_k are algebraically independent)
-by leading-term reduction of its coefficients at partitions alone, on ints.
+by leading-term reduction of its coefficients at partitions alone, on ints;
+the coefficients of an e-monomial at partitions are built on partitions
+alone too.
 """
 
 from __future__ import annotations
@@ -428,12 +430,37 @@ def _is_partition(exponents) -> bool:
     return all(a >= b for a, b in zip(exponents, exponents[1:]))
 
 
+def _partitions(m: int, parts: int, top: int):
+    """The partitions of m into at most ``parts`` parts of size at most top,
+    as decreasing tuples without zeros, in decreasing lexicographic order."""
+    if m == 0:
+        yield ()
+    elif parts:
+        for first in range(min(m, top), 0, -1):
+            for rest in _partitions(m - first, parts - 1, first):
+                yield (first,) + rest
+
+
 @lru_cache(maxsize=None, typed=True)
 def _partition_part(n: int, evec: tuple):
     """The terms of expand_e_monomial(n, evec) at partitions, as a tuple of
-    (exponent vector, int) pairs (e-monomials have integer coefficients)."""
-    terms = expand_e_monomial(n, evec).terms
-    return tuple((m, c.numerator) for m, c in terms.items() if _is_partition(m))
+    (exponent vector, int) pairs in decreasing lexicographic order, with no
+    polynomial expanded: a symmetric p times e_k has at the partition mu the
+    sum of p at mu - 1_S over the k-subsets S of the nonzero parts of mu,
+    and p at mu - 1_S is p at the partition that sorts it."""
+    part, degree = {(): 1}, 0
+    for k, mult in enumerate(evec, start=1):
+        for _ in range(mult):
+            degree += k
+            prev, part = part, {}
+            for mu in _partitions(degree, n, degree):
+                v = 0
+                for s in combinations(range(len(mu)), k):
+                    lowered = sorted((e - (i in s) for i, e in enumerate(mu)), reverse=True)
+                    v += prev.get(tuple(e for e in lowered if e), 0)
+                if v:
+                    part[mu] = v
+    return tuple((mu + (0,) * (n - len(mu)), v) for mu, v in part.items())
 
 
 def _reduce_on_partitions(n: int, terms):

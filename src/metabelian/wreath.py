@@ -117,22 +117,6 @@ class WreathElement:
 
     __hash__ = None
 
-    def pi_polynomial(self) -> Polynomial:
-        """The image in the 2n-variable ring K[u_1..u_n, x_1..x_n] modulo u*u.
-
-        u-variables occupy the first n slots, x-variables the last n; the
-        v-part is identified with its linear x-polynomial.
-        """
-        n = self.n
-        terms = {}
-        for i, p in enumerate(self.upart):
-            for mono, coeff in p.terms.items():
-                terms[unit_vector(n, i) + mono] = coeff
-        for i, coeff in enumerate(self.vpart):
-            if coeff != 0:
-                terms[unit_vector(2 * n, n + i)] = coeff
-        return Polynomial(2 * n, terms)
-
     def to_text(self) -> str:
         pieces = [
             (1, f"u{i}*( {p.to_text()} )") for i, p in enumerate(self.upart, 1) if not p.is_zero()
@@ -142,18 +126,6 @@ class WreathElement:
 
     def __repr__(self):
         return self.to_text()
-
-
-def bracket_wreath(w1: WreathElement, w2: WreathElement) -> WreathElement:
-    """Bracket in the wreath product; the result always has zero v-part."""
-    w1._require_same(w2)
-    n = w1.n
-    lin1 = Polynomial(n, {unit_vector(n, i): c for i, c in enumerate(w1.vpart) if c != 0})
-    lin2 = Polynomial(n, {unit_vector(n, i): c for i, c in enumerate(w2.vpart) if c != 0})
-    upart = tuple(
-        w1.upart[i] * lin2 - w2.upart[i] * lin1 for i in range(n)
-    )
-    return WreathElement(n, upart)
 
 
 def embed(f: LieElement) -> WreathElement:

@@ -13,9 +13,9 @@ from metabelian import (
     Sum,
     Var,
     WreathElement,
-    bracket_wreath,
     invariants,
 )
+from reference_impl import bracket_wreath
 
 
 def random_fraction(rng, zero_ok=True):

@@ -28,21 +28,27 @@ swapping and factoring the content once per term and index, ``u1_self_check``
 is decompose's old self-check on u_1 with every q_ij expanded in x_1..x_n,
 and ``substitute`` is the removed ``Polynomial.substitute``.  Both
 ``linalg`` functions are looked up at call time so that a test can swap in
-the Fraction versions above.
+the Fraction versions above.  ``decompose_by_peeling`` is decompose's removed
+per-call module phase (``module_coordinates`` through ``peel``) with its
+self-check ``matches_u1`` in K[x_1, e_1..e_n], ``u1_of`` and
+``reconstruct_on_u1`` the removed reconstruction through x-products,
+``partition_part`` the removed partition part of an x-expanded e-monomial,
+and ``grade``, ``bracket_wreath``, ``pi_polynomial`` and
+``polarized_elementary`` are test oracles moved out of the library.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
 integer sums of actions, fraction-free products, sums of products and S_n
 average, single-pass preimage, fraction-free integer elimination,
 constructive invariant basis, generators and relations built and checked on
 u_1, partition-shaped elimination, reconstruction and tails read off u_1,
-structured decomposition and its self-check in K[x_1, e_1..e_n] to return
-exactly what these return.
+structured decomposition, its key self-check and verify on orbit keys, and
+partition parts built on partitions to return exactly what these return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 
 from metabelian import linalg
 from metabelian.errors import (
@@ -53,17 +59,21 @@ from metabelian.errors import (
     MembershipError,
     RankError,
 )
+from metabelian import invariants
 from metabelian.invariants import (
     InvariantDecomposition,
     generator_h_lie,
     solve_weighted_kernel,
     weighted_exponent_vectors,
 )
-from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, _new, grade, sum_of_actions
+from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, _new, sum_of_actions
 from metabelian.permutations import enumerate_sn, sn_generators
 from metabelian.polynomials import (
     EDecomposition,
     Polynomial,
+    _add_products,
+    _integral,
+    _reduce_on_partitions,
     _require_ints,
     add_terms,
     elementary_symmetric,
@@ -71,8 +81,9 @@ from metabelian.polynomials import (
     grlex_key,
     sum_of_products,
     symmetry_violation,
+    unit_vector,
 )
-from metabelian.wreath import WreathElement, embed
+from metabelian.wreath import WreathElement, apply_perm_wreath, embed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -254,6 +265,67 @@ def apply_perm_lie(sigma, f: LieElement) -> LieElement:
         factors = tuple(sorted(sigma(t) for t in c.tail))
         add_terms(acc, ((c2, gamma * sign) for c2, sign in _ad(BasisCommutator(a, b), factors)))
     return LieElement(n, linear, acc)
+
+
+def grade(f: LieElement, d: int) -> LieElement:
+    """The homogeneous component of total degree d (variables have degree 1)."""
+    if d == 1:
+        return LieElement(f.n, f.linear)
+    if d < 1:
+        return LieElement.zero(f.n)
+    return LieElement(f.n, None, {c: v for c, v in f.comm.items() if c.degree == d})
+
+
+def bracket_wreath(w1: WreathElement, w2: WreathElement) -> WreathElement:
+    """Bracket in the wreath product; the result always has zero v-part."""
+    w1._require_same(w2)
+    n = w1.n
+    lin1 = Polynomial(n, {unit_vector(n, i): c for i, c in enumerate(w1.vpart) if c != 0})
+    lin2 = Polynomial(n, {unit_vector(n, i): c for i, c in enumerate(w2.vpart) if c != 0})
+    upart = tuple(
+        w1.upart[i] * lin2 - w2.upart[i] * lin1 for i in range(n)
+    )
+    return WreathElement(n, upart)
+
+
+def pi_polynomial(w: WreathElement) -> Polynomial:
+    """The image of w in the 2n-variable ring K[u_1..u_n, x_1..x_n] modulo u*u.
+
+    u-variables occupy the first n slots, x-variables the last n; the
+    v-part is identified with its linear x-polynomial.
+    """
+    n = w.n
+    terms = {}
+    for i, p in enumerate(w.upart):
+        for mono, coeff in p.terms.items():
+            terms[unit_vector(n, i) + mono] = coeff
+    for i, coeff in enumerate(w.vpart):
+        if coeff != 0:
+            terms[unit_vector(2 * n, n + i)] = coeff
+    return Polynomial(2 * n, terms)
+
+
+def polarized_elementary(n: int, p: int, q: int) -> Polynomial:
+    """The bidegree-(p, q) polarization of e_{p+q} in the 2n-variable ring.
+
+    Sums u_{i_1}..u_{i_p} x_{j_1}..x_{j_q} over pairwise-distinct indices
+    with each group strictly increasing; u-variables occupy the first n
+    slots of the ring.
+    """
+    _require_ints(n, p, q)
+    if p < 0 or q < 0 or p + q <= 0 or p + q > n:
+        raise DomainError(f"bidegree ({p}, {q}) outside 0 < p+q <= {n}")
+    terms = {}
+    for usubset in combinations(range(n), p):
+        rest = [k for k in range(n) if k not in usubset]
+        for xsubset in combinations(rest, q):
+            mono = [0] * (2 * n)
+            for k in usubset:
+                mono[k] = 1
+            for k in xsubset:
+                mono[n + k] = 1
+            terms[tuple(mono)] = _ONE
+    return Polynomial(2 * n, terms)
 
 
 def invariance_violation(f: LieElement):
@@ -613,11 +685,131 @@ def lie_from_u1(p1: Polynomial) -> LieElement:
     return LieElement._wrap(n, (_ZERO,) * n, comm)
 
 
+def u1_of(dec: InvariantDecomposition) -> Polynomial:
+    """The u_1-coordinate of the embedded commutator part, sum h_ij * q_ij,
+    with every q_ij expanded in x_1..x_n (the removed
+    ``InvariantDecomposition._u1``)."""
+    n = dec.n
+    pairs = [(invariants.generator_h(n, i, j).upart[0], q.expand()) for i, j, q in dec.items()]
+    return sum_of_products(n, pairs)
+
+
+def reconstruct_on_u1(dec: InvariantDecomposition) -> LieElement:
+    """The removed ``reconstruct``: the Lie form read off ``u1_of``."""
+    return LieElement._wrap(dec.n, (dec.f1_coeff,) * dec.n, invariants._lie_from_u1(u1_of(dec)).comm)
+
+
 def u1_self_check(dec: InvariantDecomposition, f: LieElement) -> bool:
     """The x-expanded self-check: sum h_ij * q_ij, with every q_ij expanded
     in x_1..x_n, equals u_1 of the embedded commutator part of f."""
     u1 = {mono: c for mono, c in embed(f).upart[0].terms.items() if any(mono)}
-    return dec._u1().terms == u1
+    return u1_of(dec).terms == u1
+
+
+def peel(terms, n: int, low: int = 0):
+    """Divide the int map ``terms`` on K[x_1, e_1..e_n] from its top x_1-degree
+    k down to ``low`` by e_m(x_2..x_n), m = min(k, n), whose x_1-leading term
+    is (-x_1)^m; returns the quotient and the remainder as rows
+    {x_1-degree: {e-exponents: int}}."""
+    rows = {}
+    for mono, v in terms.items():
+        if v:
+            rows.setdefault(mono[0], {})[mono[1:]] = v
+    quotients = {}
+    for k in range(max(rows, default=-1), low - 1, -1):
+        top = rows.pop(k, None)
+        if not top:
+            continue
+        m = min(k, n)
+        q = quotients[k] = top if m % 2 == 0 else {b: -c for b, c in top.items()}
+        for mono, v in invariants._e_prime(n, m)[:-1]:
+            row = rows.setdefault(k - m + mono[0], {})
+            add_terms(row, ((tuple(a + e for a, e in zip(b, mono[1:])), -v * c) for b, c in q.items()))
+    return quotients, rows
+
+
+def module_coordinates(n: int, groups):
+    """The (j, b, gamma) with p1 = sum_j e_{j-1}(x_2..x_n) * sum_b gamma * e^b,
+    and the image of p1 in K[x_1, e_1..e_n], for the int key values
+    ``groups`` {k: {partition on x_2..x_n: value}} of one degree: each group
+    reduced on its partitions, one sum of products of the cached e'-monomial
+    images by x_1^k, peeled from the top x_1-degree down."""
+    pairs = []
+    for k, group in groups.items():
+        x1k = (k,) + (0,) * n
+        coords = _reduce_on_partitions(n - 1, group).items()
+        pairs += [(invariants._e_prime_monomial(n, c).terms.items(), ((x1k, v),)) for c, v in coords]
+    image = _add_products({}, pairs)
+    quotients, _ = peel(image, n)
+    return [(k + 1, b, c) for k, row in quotients.items() if k < n for b, c in row.items()], image
+
+
+def matches_u1(dec: InvariantDecomposition, image, scale: int) -> bool:
+    """The removed self-check: whether the commutator part of ``dec`` has
+    u_1-coordinate image / scale in K[x_1, e_1..e_n], through the int
+    products of u_1(h_ij) and the q_ij and one ``peel`` to x_1-degree < n."""
+    n = dec.n
+    den = lcm(*(c.denominator for q in dec.parts.values() for c in q.terms.values()))
+    residual = {mono: -den * v for mono, v in image.items()}
+    for i, j, q in dec.items():
+        h = _add_products({}, ((invariants._e_prime(n, i - 1), ((unit_vector(n + 1, j), j),)),
+                               (invariants._e_prime(n, j - 1), ((unit_vector(n + 1, i), -i),))))
+        scaled = [((0,) + b, c.numerator * (den * scale // c.denominator))
+                  for b, c in q.terms.items()]
+        _add_products(residual, ((h.items(), scaled),))
+    _, remainder = peel(residual, n, n)
+    return not any(remainder.values())
+
+
+def decompose_by_peeling(f: LieElement, seen=None) -> InvariantDecomposition:
+    """The removed per-call module phase of ``decompose_invariant``: after the
+    same orbit-key pass, each degree's key values are reduced on partitions
+    and peeled (``module_coordinates``), split by the weighted kernel and
+    checked with ``matches_u1``.  ``seen``, a list, receives the
+    (decomposition, image, scale) that the check ran on."""
+    n = f.n
+    scale, comm = _integral(f.comm)
+    values = invariants._key_values(f.linear, comm)
+    if values is None:
+        violation = invariants._moved_by(embed(f), apply_perm_wreath, n)
+        raise InvarianceError(f"element is not invariant: moved by {violation}", violation)
+    slices = {}
+    for (k, lam), v in values.items():
+        group = slices.setdefault(k + sum(lam) + 1, {}).setdefault(k, {})
+        group[lam + (0,) * (n - 1 - len(lam))] = v
+    image = {}
+    parts_acc = {}
+    for d in sorted(slices):
+        coordinates, image_d = module_coordinates(n, slices[d])
+        image.update(image_d)
+        alpha = {}
+        for j, b, gamma in coordinates:
+            a = b[: j - 1] + (b[j - 1] + 1,) + b[j:]
+            alpha.setdefault(a, [0] * n)[j - 1] += gamma
+        for a, cvec in sorted(alpha.items(), key=lambda kv: grlex_key(kv[0])):
+            betas = solve_weighted_kernel(cvec)
+            j1 = next(k + 1 for k, v in enumerate(cvec) if v != 0)
+            for jk, beta in betas.items():
+                newexp = list(a)
+                newexp[j1 - 1] -= 1
+                newexp[jk - 1] -= 1
+                add_terms(parts_acc.setdefault((j1, jk), {}), ((tuple(newexp), beta),))
+    result = InvariantDecomposition(n, f.linear[0], {
+        pair: EDecomposition._wrap(n, {b: v / scale for b, v in terms.items()})
+        for pair, terms in parts_acc.items()})
+    if seen is not None:
+        seen.append((result, image, scale))
+    if not matches_u1(result, image, scale):
+        raise InternalConsistencyError("reassembled decomposition does not match the input")
+    return result
+
+
+def partition_part(n: int, evec: tuple):
+    """The removed ``_partition_part``: the terms of the x-expanded
+    e-monomial at partitions, as (exponent vector, int) pairs."""
+    terms = expand_e_monomial(n, evec).terms
+    return tuple((m, c.numerator) for m, c in terms.items()
+                 if all(a >= b for a, b in zip(m, m[1:])))
 
 
 def substitute(p: Polynomial, images) -> Polynomial:

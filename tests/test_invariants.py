@@ -35,7 +35,6 @@ from metabelian import (
     is_symmetric,
     normal_form,
     parse_lie_expr,
-    polarized_elementary,
     preimage,
     reynolds_lie,
     sn_generators,
@@ -54,7 +53,7 @@ from helpers import (
     random_lie_element,
     z_vector,
 )
-from reference_impl import _basis_commutators
+from reference_impl import _basis_commutators, pi_polynomial, polarized_elementary
 
 xp = Polynomial.variable
 
@@ -81,7 +80,7 @@ def test_epsilon_normalization(n):
 
 
 def test_polarized_examples():
-    assert polarized_elementary(2, 1, 1) == epsilon(2, 2).pi_polynomial()
+    assert polarized_elementary(2, 1, 1) == pi_polynomial(epsilon(2, 2))
     e2_block = polarized_elementary(3, 0, 2)
     # pure x-part of the 6-variable ring equals e_2 shifted into the x block
     expected = {}
@@ -98,7 +97,7 @@ def test_polarized_examples():
 def test_polarized_matches_epsilon():
     for n in range(2, 5):
         for q in range(n):
-            assert polarized_elementary(n, 1, q) == epsilon(n, q + 1).pi_polynomial()
+            assert polarized_elementary(n, 1, q) == pi_polynomial(epsilon(n, q + 1))
 
 
 def test_polarized_invariant_under_diagonal_action():
@@ -391,17 +390,20 @@ def test_invariance_of_an_invariant_applies_no_permutation(monkeypatch):
 def test_decompose_substitutes_nothing_cold_or_warm(monkeypatch):
     n = 5
     f = reynolds_lie(random_lie_element(random.Random(57), n, 7, comm_terms=3))
-    invariants._e_prime_monomial.cache_clear()
-    polynomials._partition_part.cache_clear()
-    # the e'-monomial images come from the int product loop; the generic
-    # substitution is a test reference only
+    for cached in (invariants._e_prime_monomial, invariants._forward_column,
+                   invariants._back_column, polynomials._partition_part):
+        cached.cache_clear()
+    # the e'-monomial images and the columns come from the int product loop;
+    # the generic substitution is a test reference only
     assert not hasattr(Polynomial, "substitute")
     products = counting(monkeypatch, invariants, "_add_products")
     cold = decompose_invariant(f)
     assert len(cold.parts) > 1 and invariants._e_prime_monomial.cache_info().currsize > 1
     assert products
+    products.clear()
     assert decompose_invariant(f).to_text() == cold.to_text()
     assert cold.verify(f)
+    assert products == []
 
 
 def test_a_warm_decompose_expands_no_part_and_embeds_nothing(monkeypatch):
@@ -413,7 +415,6 @@ def test_a_warm_decompose_expands_no_part_and_embeds_nothing(monkeypatch):
         for owner, name in (
             (polynomials, "expand_e_monomial"),
             (invariants, "expand_e_monomial"),
-            (InvariantDecomposition, "_u1"),
             (invariants, "embed"),
             (invariants, "apply_perm_lie"),
             (invariants, "apply_perm_wreath"),
@@ -421,7 +422,50 @@ def test_a_warm_decompose_expands_no_part_and_embeds_nothing(monkeypatch):
         )
     ]
     assert len(decompose_invariant(f).parts) > 1
-    assert [len(c) for c in calls] == [0, 0, 0, 0, 0, 0, 0]
+    assert [len(c) for c in calls] == [0, 0, 0, 0, 0, 0]
+
+
+def test_a_warm_decompose_runs_no_module_phase(monkeypatch):
+    # the module phase is the cached forward and back columns: no reduction
+    # on partitions, peeling or product runs once they are built
+    f = reynolds_lie(random_lie_element(random.Random(72), 6, 6, comm_terms=3)) * Fraction(5, 3)
+    assert decompose_invariant(f).verify(f)
+    assert not hasattr(invariants, "_module_coordinates") and not hasattr(invariants, "_matches_u1")
+    calls = [
+        counting(monkeypatch, owner, name)
+        for owner, name in (
+            (invariants, "_peel"),
+            (invariants, "_add_products"),
+            (invariants, "_reduce_on_partitions"),
+            (invariants, "_partition_part"),
+            (invariants, "_e_prime_monomial"),
+            (invariants, "sum_of_products"),
+        )
+    ]
+    forward = counting(monkeypatch, invariants, "_forward_column")
+    back = counting(monkeypatch, invariants, "_back_column")
+    dec = decompose_invariant(f)
+    assert len(dec.parts) > 1
+    assert [len(c) for c in calls] == [0] * 6
+    assert len(forward) == len(invariants._key_values(f.linear, f.comm))
+    assert len(back) == sum(len(q.terms) for q in dec.parts.values())
+
+
+def test_verify_multiplies_nothing(monkeypatch):
+    f = reynolds_lie(random_lie_element(random.Random(73), 5, 7, comm_terms=3)) * Fraction(2, 9)
+    dec = decompose_invariant(f)
+    calls = [
+        counting(monkeypatch, owner, name)
+        for owner, name in (
+            (polynomials, "sum_of_products"),
+            (invariants, "sum_of_products"),
+            (invariants, "_add_products"),
+            (EDecomposition, "expand"),
+            (invariants, "generator_h"),
+        )
+    ]
+    assert dec.verify(f)
+    assert [len(c) for c in calls] == [0] * 5
 
 
 def test_a_cold_generator_h_is_one_sum_of_products(monkeypatch):
@@ -586,7 +630,20 @@ CACHED_VALUES = [
         lambda: invariants._e_prime_monomial(3, (1, 1)),
         "-x1^3 + 2*x1^2*x2 - x1*x2^2 - x1*x3 + x2*x3",
     ),
+    # u1 = x1*(x2 + x3) = e_2 - e_2(x2, x3), so r_1 = e_2 and r_3 = -1: the
+    # blocks ((a, j), alpha) at a = e_1 e_2 and a = e_3
+    (lambda: invariants._forward_column(3, (1, (1,))), "((((0, 0, 1), 3), -1), (((1, 1, 0), 1), 1))"),
+    # u1 of h_12 at n = 3 is x1*x2 + x1*x3 - x2^2 - x3^2: keys (1, (1,)), (0, (2,))
+    (lambda: invariants._back_column(3, 1, 2, (0, 0, 0)), "(((1, (1,)), 1), ((0, (2,)), -1))"),
 ]
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 @pytest.mark.parametrize(
@@ -599,10 +656,19 @@ CACHED_VALUES = [
         "generator_h",
         "generator_h_lie",
         "_e_prime_monomial",
+        "_forward_column",
+        "_back_column",
     ],
 )
 def test_cached_values_reject_mutation(call, text):
     value = call()
+    if type(value) is tuple:
+        # only tuples and ints, so a caller can change nothing in the cache
+        assert all(type(leaf) is int for leaf in _leaves(value))
+        with pytest.raises(TypeError):
+            value[0] = value[-1]
+        assert call() is value and repr(value) == text
+        return
     if hasattr(value, "upart"):
         term_maps = [p.terms for p in value.upart]
     else:

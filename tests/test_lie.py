@@ -20,12 +20,12 @@ from metabelian import (
     apply_perm_lie,
     bracket,
     embed,
-    grade,
     normal_form,
     parse_lie_expr,
     preimage,
 )
 from helpers import eval_in_wreath, random_lie_element, random_lie_expr
+from reference_impl import grade
 
 xvar = LieElement.variable
 

@@ -244,7 +244,8 @@ def test_the_negative_inputs_are_one_change_away_from_invariants():
 def test_key_caches_hold_tuples_so_no_caller_can_change_a_later_decompose():
     f = _h(4) * Fraction(2, 3) + sum_of_variables(4)
     before = decompose_invariant(f).to_text()
-    caches = (invariants._e_prime, invariants._key_count, invariants._membership_rows)
+    caches = (invariants._e_prime, invariants._key_count, invariants._membership_rows,
+              invariants._forward_column, invariants._back_column)
     assert all(cached.cache_parameters()["typed"] for cached in caches)
     values = [invariants._e_prime(4, 2), invariants._key_count(4, (2, 1)),
               invariants._membership_rows(4, 4)]
