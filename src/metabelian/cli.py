@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AlgebraError, DomainError, InternalConsistencyError, ParseError
+from .errors import AlgebraError, DomainError, InternalConsistencyError, ParseError, RankError
 from .invariants import (
     decompose_invariant,
     generator_h,
@@ -355,9 +355,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n < 2:
-        parser.error(f"--n must be at least 2, got {args.n}")
     try:
+        if args.n < 2:
+            raise RankError(f"--n must be at least 2, got {args.n}")
         return _HANDLERS[args.command](args)
     except (AlgebraError, json.JSONDecodeError) as exc:
         code, prefix = next(_ERROR_EXITS[c] for c in type(exc).__mro__ if c in _ERROR_EXITS)

@@ -22,7 +22,7 @@ one pass over the Lie terms.  Decompose and reconstruct are two cached
 linear maps on the key values, on ints: a forward column per key gives the
 module coordinates, and a back column per h_ij * e^b gives the key values of
 its u_1, which check decompose's result and are expanded and read off to
-reconstruct it.
+reconstruct it.  The invariant basis is the kernel of the membership rows.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .errors import (
     KernelError,
     RankError,
 )
-from .lie import BasisCommutator, LieElement, _factors, _new, ad_action, apply_perm_lie
-from .linalg import _integer_rows, _reduce
+from .lie import BasisCommutator, LieElement, _factors, _new, apply_perm_lie
+from .linalg import nullspace
 from .permutations import Permutation, group_average, moving_generator
 from .polynomials import (
     EDecomposition,
@@ -51,12 +51,12 @@ from .polynomials import (
     _add_products,
     _integral,
     _partition_part,
+    _partitions,
     _reduce_on_partitions,
     _require_ints,
     add_terms,
     as_fraction,
     elementary_symmetric,
-    expand_e_monomial,
     grlex_key,
     read_only,
     sum_of_products,
@@ -624,15 +624,20 @@ def hilbert_function(n: int, d: int) -> int:
 
 
 def invariant_space_basis(n: int, d: int):
-    """Exact basis of the degree-d invariants, built from the generators h_ij.
+    """Exact basis of the degree-d invariants: the kernel of the membership
+    rows on the orbit keys of degree d, read off.
 
-    For each e-exponent vector a of weighted degree d with support
-    j_1 < ... < j_m, the h_{j_1,j_k} * e^(a - delta_{j_1} - delta_{j_k}), k >= 2,
-    form a basis: as many as the Hilbert function counts, with distinct
-    embedded images eps_j * e^b.  Returned in reduced echelon form with the
-    commutators in decreasing order, each row 1 at its pivot, in increasing
-    pivot order: the kernel basis of sigma - 1 that sets one free commutator
-    to 1 and the others to 0.
+    For d >= 2 an invariant is the read-off of its key values, and key values
+    read off to an invariant exactly when they pass the membership rows.  The
+    keys are the (k, lambda) with k <= d - 2 and lambda a partition of
+    d - 1 - k into at most n - 1 parts; (d - 1, ()) reads off no commutator.
+    Returned in reduced echelon form with the commutators in decreasing
+    order, each row 1 at its pivot, in increasing pivot order.  A key's value
+    is copied to all its commutators, so only its largest one can be a pivot:
+    with the keys in decreasing order of that commutator, the echelon form
+    over keys is the one over commutators.  ``nullspace`` on the columns in
+    reverse order returns it: each vector is 1 at its free column, 0 at the
+    others, and nonzero elsewhere only at pivot columns after it in key order.
     """
     _require_ints(n, d)
     if n < 1:
@@ -641,18 +646,11 @@ def invariant_space_basis(n: int, d: int):
         return []
     if d == 1:
         return [sum_of_variables(n)]
-    span = []
-    for a in weighted_exponent_vectors(n, d):
-        support = [j for j, v in enumerate(a, 1) if v]
-        j1 = support[0]
-        for jk in support[1:]:
-            b = [v - (j in (j1, jk)) for j, v in enumerate(a, 1)]
-            span.append(ad_action(generator_h_lie(n, j1, jk), expand_e_monomial(n, b)).comm)
-    columns = sorted(set().union(*span), key=BasisCommutator.sort_key, reverse=True)
-    rows = _integer_rows([[comm.get(c, _ZERO) for c in columns] for comm in span])
-    pivots = _reduce(rows, len(columns))
-    basis = [
-        LieElement(n, None, {c: Fraction(v, row[p]) for c, v in zip(columns, row) if v})
-        for row, p in zip(rows, pivots)
-    ]
-    return basis[::-1]
+    def lead(key):  # the largest commutator that the key reads off
+        return max(map(BasisCommutator.sort_key, _lie_from_u1(_expand_keys(n, {key: 1})).comm))
+
+    keys = sorted(((k, lam) for k in range(d - 1) for lam in _partitions(d - 1 - k, n - 1, d)),
+                  key=lead)
+    rows = [[row.get(key, 0) for key in keys] for row in map(dict, _membership_rows(n, d))]
+    return [_lie_from_u1(_expand_keys(n, {key: v for key, v in zip(keys, vec) if v}))
+            for vec in nullspace(rows, len(keys))]

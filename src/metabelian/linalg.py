@@ -4,8 +4,8 @@ Small systems only.  The solvers clear each row's denominators and run
 fraction-free Gauss-Jordan elimination on integers (after Bareiss): only
 reading the result off divides, by the pivot.  The reduced row echelon form
 is unique, so results do not depend on the row scaling.
-``solve_exact`` and ``nullspace`` have no library caller: they stay as entry
-points the benchmark's traced run spans, and as test references.
+``nullspace`` serves the invariant basis; ``solve_exact`` has no library
+caller and stays as a benchmark-spanned entry point and test reference.
 """
 
 from __future__ import annotations

@@ -33,15 +33,19 @@ per-call module phase (``module_coordinates`` through ``peel``) with its
 self-check ``matches_u1`` in K[x_1, e_1..e_n], ``u1_of`` and
 ``reconstruct_on_u1`` the removed reconstruction through x-products,
 ``partition_part`` the removed partition part of an x-expanded e-monomial,
-and ``grade``, ``bracket_wreath``, ``pi_polynomial`` and
-``polarized_elementary`` are test oracles moved out of the library.
+``basis_from_generators`` the removed invariant basis built from the
+h_(j1,jk) * e^b by elimination over Lie columns, and ``grade``,
+``bracket_wreath``, ``pi_polynomial`` and ``polarized_elementary`` are test
+oracles moved out of the library.
 ``tests/test_fast_paths.py`` requires the library's closed-form ad-action,
 integer sums of actions, fraction-free products, sums of products and S_n
 average, single-pass preimage, fraction-free integer elimination,
 constructive invariant basis, generators and relations built and checked on
 u_1, partition-shaped elimination, reconstruction and tails read off u_1,
 structured decomposition, its key self-check and verify on orbit keys, and
-partition parts built on partitions to return exactly what these return.
+partition parts built on partitions to return exactly what these return;
+``tests/test_orbit_keys.py`` requires the same of the invariant basis on
+orbit keys.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial, lcm
 
 from metabelian import linalg
+from metabelian.linalg import _integer_rows, _reduce
 from metabelian.errors import (
     DimensionError,
     DomainError,
@@ -64,6 +69,7 @@ from metabelian.invariants import (
     InvariantDecomposition,
     generator_h_lie,
     solve_weighted_kernel,
+    sum_of_variables,
     weighted_exponent_vectors,
 )
 from metabelian.lie import BasisCommutator, LieElement, _ad, _factors, _new, sum_of_actions
@@ -544,6 +550,41 @@ def invariant_space_basis(n: int, d: int):
                 total = total + elems[k] * coeff
         out.append(total)
     return out
+
+
+def basis_from_generators(n: int, d: int):
+    """Exact basis of the degree-d invariants, built from the generators h_ij.
+
+    For each e-exponent vector a of weighted degree d with support
+    j_1 < ... < j_m, the h_{j_1,j_k} * e^(a - delta_{j_1} - delta_{j_k}), k >= 2,
+    form a basis: as many as the Hilbert function counts, with distinct
+    embedded images eps_j * e^b.  Returned in reduced echelon form with the
+    commutators in decreasing order, each row 1 at its pivot, in increasing
+    pivot order: the kernel basis of sigma - 1 that sets one free commutator
+    to 1 and the others to 0.
+    """
+    _require_ints(n, d)
+    if n < 1:
+        raise RankError(f"rank must be positive, got {n}")
+    if d < 1:
+        return []
+    if d == 1:
+        return [sum_of_variables(n)]
+    span = []
+    for a in weighted_exponent_vectors(n, d):
+        support = [j for j, v in enumerate(a, 1) if v]
+        j1 = support[0]
+        for jk in support[1:]:
+            b = [v - (j in (j1, jk)) for j, v in enumerate(a, 1)]
+            span.append(ad_action(generator_h_lie(n, j1, jk), expand_e_monomial(n, b)).comm)
+    columns = sorted(set().union(*span), key=BasisCommutator.sort_key, reverse=True)
+    rows = _integer_rows([[comm.get(c, _ZERO) for c in columns] for comm in span])
+    pivots = _reduce(rows, len(columns))
+    basis = [
+        LieElement(n, None, {c: Fraction(v, row[p]) for c, v in zip(columns, row) if v})
+        for row, p in zip(rows, pivots)
+    ]
+    return basis[::-1]
 
 
 def _wreath_coordinates(w: WreathElement) -> dict:

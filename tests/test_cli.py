@@ -244,9 +244,11 @@ def test_selftest_passes(capsys):
     assert "variant identity" in out
 
 
-def test_rank_guard():
-    import pytest
-
-    with pytest.raises(SystemExit) as exc:
-        main(["generators", "--n", "1"])
-    assert exc.value.code == 2
+def test_rank_guard(capsys):
+    # the one error path: one stderr line, exit code 2, and under --json the
+    # error object on stdout
+    message = "--n must be at least 2, got 1"
+    assert run(capsys, "generators", "--n", "1") == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "generators", "--n", "1", "--json")
+    assert (code, err) == (2, f"error: {message}\n")
+    assert json.loads(out) == {"schema": 1, "error": {"type": "RankError", "message": message}}

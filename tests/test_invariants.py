@@ -43,7 +43,7 @@ from metabelian import (
     sum_of_variables,
     verify_module_relation,
 )
-from metabelian import invariants, linalg, polynomials
+from metabelian import invariants, lie, linalg, polynomials, wreath
 from metabelian.invariants import weighted_exponent_vectors
 from metabelian.linalg import solve_exact
 from helpers import (
@@ -414,7 +414,7 @@ def test_a_warm_decompose_expands_no_part_and_embeds_nothing(monkeypatch):
         counting(monkeypatch, owner, name)
         for owner, name in (
             (polynomials, "expand_e_monomial"),
-            (invariants, "expand_e_monomial"),
+            (polynomials, "_expand_e_monomial"),
             (invariants, "embed"),
             (invariants, "apply_perm_lie"),
             (invariants, "apply_perm_wreath"),
@@ -506,8 +506,32 @@ def test_decompose_uses_no_linear_algebra(monkeypatch):
 
     monkeypatch.setattr(linalg, "solve_exact", refuse)
     monkeypatch.setattr(linalg, "_reduce", refuse)
-    monkeypatch.setattr(invariants, "_reduce", refuse)
+    monkeypatch.setattr(invariants, "nullspace", refuse)
     assert decompose_invariant(f).verify(f)
+
+
+def test_the_basis_runs_no_generator_action_or_product(monkeypatch):
+    # the basis is the membership kernel on orbit keys, read off: no h_ij is
+    # built, acted on or pulled back, and nothing is multiplied
+    calls = [
+        counting(monkeypatch, owner, name)
+        for owner, name in (
+            (lie, "ad_action"),
+            (lie, "sum_of_actions"),
+            (invariants, "generator_h_lie"),
+            (invariants, "preimage"),
+            (wreath, "preimage"),
+            (polynomials, "sum_of_products"),
+            (invariants, "sum_of_products"),
+            (polynomials, "_add_products"),
+            (invariants, "_add_products"),
+        )
+    ]
+    nulls = counting(monkeypatch, invariants, "nullspace")
+    basis = invariant_space_basis(6, 7)
+    assert len(basis) == hilbert_function(6, 7) > 1
+    assert [len(c) for c in calls] == [0] * 9
+    assert len(nulls) == 1
 
 
 def test_invariant_basis_small_cases():

@@ -18,7 +18,13 @@ partition lambda on x_2..x_n.  The chain tested here:
    part is the one to reject some input, with the reference's generator and
    error text through decompose_invariant, is_invariant_lie and the CLI;
 5. the new caches hold tuples and ints only, so no caller can change a later
-   decompose through them.
+   decompose through them;
+6. the paper's theorem: the h_(j1,jk) * e^b over the Hilbert index set (one
+   per e-monomial e^a of weighted degree d and per index of its support but
+   the first) have orbit-key values that pass every membership row, with
+   rank hilbert_function(n, d), so they span the membership kernel of step 2;
+7. invariant_space_basis, that kernel read off in reduced echelon form,
+   equals the basis built from the h_ij by elimination over Lie columns.
 """
 
 from collections import Counter
@@ -39,6 +45,7 @@ from metabelian import (
     elementary_symmetric,
     generator_h_lie,
     hilbert_function,
+    invariant_space_basis,
     is_invariant_lie,
     sum_of_variables,
 )
@@ -257,3 +264,30 @@ def test_key_caches_hold_tuples_so_no_caller_can_change_a_later_decompose():
             value[0] = value[-1]
     assert decompose_invariant(f).to_text() == before == ref.decompose_invariant(f).to_text()
     assert invariants._e_prime(4, 2) is values[0]
+
+
+def hilbert_index_set(n, d):
+    """(j1, jk, b): h_(j1,jk) * e^b for each e-monomial e^a of weighted degree
+    d with support j1 < ... < jm, k >= 2, and b = a - delta_j1 - delta_jk."""
+    for a in invariants.weighted_exponent_vectors(n, d):
+        support = [j for j, v in enumerate(a, 1) if v]
+        for jk in support[1:]:
+            yield support[0], jk, tuple(v - (j in (support[0], jk)) for j, v in enumerate(a, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_generators_span_the_membership_kernel(n):
+    for d in range(2, 10):
+        vectors = [dict(invariants._back_column(n, j1, jk, b))
+                   for j1, jk, b in hilbert_index_set(n, d)]
+        for vec in vectors:
+            for row in invariants._membership_rows(n, d):
+                assert sum(vec.get(key, 0) * mult for key, mult in row) == 0, (n, d, row)
+        assert sparse_rank(vectors) == len(vectors) == hilbert_function(n, d), (n, d)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 7) for d in range(1, 9)])
+def test_the_key_kernel_basis_matches_the_basis_built_from_the_generators(n, d):
+    fast, slow = invariant_space_basis(n, d), ref.basis_from_generators(n, d)
+    assert fast == slow
+    assert [f.to_text() for f in fast] == [f.to_text() for f in slow]
